@@ -10,7 +10,7 @@
 //
 // The concurrency suite machine-checks the striped/lock-free xserver
 // scheme (DESIGN.md §12–13): lockorder models the full hierarchy
-// Server.mu > stripes > inputMu > Conn.qMu/errMu, atomicfield forbids
+// Server.mu > stripes > inputMu > Conn.qMu/errMu/resMu, atomicfield forbids
 // mixed atomic/plain access to a field, snapshotimmut freezes values
 // published through atomic.Pointer Stores, seqlock pins the odd/even
 // writer and retry-reader protocols of seq-guarded entries, and

@@ -59,11 +59,11 @@ import (
 //
 // Below the stripes the hierarchy continues through the input-dispatch
 // lock and the per-connection leaf locks: Server.mu > stripes >
-// inputMu > Conn.qMu/errMu. Fields named inputMu, qMu and errMu of
-// type sync.Mutex/RWMutex form three more classes; acquiring up the
-// chain while holding a lower lock (or a leaf while holding its peer
-// leaf — the two are unordered) is lockorder.order, and re-acquiring
-// any of them while held is lockorder.reentrant.
+// inputMu > Conn.qMu/errMu/resMu. Fields named inputMu, qMu, errMu and
+// resMu of type sync.Mutex/RWMutex form four more classes; acquiring
+// up the chain while holding a lower lock (or a leaf while holding a
+// peer leaf — the three are unordered) is lockorder.order, and
+// re-acquiring any of them while held is lockorder.reentrant.
 //
 // The region tracking is linear in source order, which is exact for
 // the straight-line lock-defer-unlock shape the package uses and a
@@ -83,9 +83,9 @@ const (
 )
 
 // lockClass distinguishes the modeled lock classes, in hierarchy order:
-// Server.mu > stripes > inputMu > Conn.qMu/errMu (DESIGN.md §12). The
-// two connection leaf locks share a rank and are unordered peers —
-// holding both is itself a violation.
+// Server.mu > stripes > inputMu > Conn.qMu/errMu/resMu (DESIGN.md §12).
+// The connection leaf locks share a rank and are unordered peers —
+// holding two at once is itself a violation.
 type lockClass int
 
 const (
@@ -94,6 +94,7 @@ const (
 	classInput   // a field named inputMu (the input-dispatch lock)
 	classConnQ   // a field named qMu (per-connection event queue leaf)
 	classConnErr // a field named errMu (per-connection error queue leaf)
+	classConnRes // a field named resMu (per-connection resource-set leaf)
 	numLockClasses
 )
 
@@ -110,17 +111,20 @@ func lockClassName(c lockClass) string {
 		return "qMu"
 	case classConnErr:
 		return "errMu"
+	case classConnRes:
+		return "resMu"
 	}
 	return "?"
 }
 
-// leafPeer returns the other connection leaf class.
-func leafPeer(c lockClass) lockClass {
-	if c == classConnQ {
-		return classConnErr
-	}
-	return classConnQ
-}
+// connLeaves are the per-connection leaf classes, unordered peers.
+var connLeaves = []lockClass{classConnQ, classConnErr, classConnRes}
+
+// belowStripes are the classes under the stripes, outermost first.
+var belowStripes = append([]lockClass{classInput}, connLeaves...)
+
+// hierarchy renders the lock order for findings.
+const hierarchy = "Server.mu > stripes > inputMu > qMu/errMu/resMu"
 
 // stripesFile is the one file allowed to touch stripe locks directly.
 const stripesFile = "stripes.go"
@@ -214,9 +218,18 @@ func runLockOrder(p *Pass) {
 		stripeHeld := false
 		var heldC [numLockClasses]bool // classInput and below
 		heldBelow := func() (lockClass, bool) {
-			for _, c := range []lockClass{classInput, classConnQ, classConnErr} {
+			for _, c := range belowStripes {
 				if heldC[c] {
 					return c, true
+				}
+			}
+			return 0, false
+		}
+		// heldLeaf reports a held connection leaf other than c.
+		heldLeaf := func(c lockClass) (lockClass, bool) {
+			for _, l := range connLeaves {
+				if l != c && heldC[l] {
+					return l, true
 				}
 			}
 			return 0, false
@@ -232,8 +245,8 @@ func runLockOrder(p *Pass) {
 						"%s acquires the server lock while holding a stripe (hierarchy is mu above stripes)", fn.Name())
 				} else if below, ok := heldBelow(); ok {
 					p.Reportf(ev.pos, "order",
-						"%s acquires the server lock while holding %s (hierarchy is Server.mu > stripes > inputMu > qMu/errMu)",
-						fn.Name(), lockClassName(below))
+						"%s acquires the server lock while holding %s (hierarchy is %s)",
+						fn.Name(), lockClassName(below), hierarchy)
 				}
 				held = true
 			case ev.kind == evAcquire && ev.class == classStripe:
@@ -249,28 +262,24 @@ func runLockOrder(p *Pass) {
 						"%s acquires a second stripe while holding one; only the ascending lockStripes2 doorway may hold two", fn.Name())
 				} else if below, ok := heldBelow(); ok {
 					p.Reportf(ev.pos, "order",
-						"%s acquires a stripe while holding %s (hierarchy is Server.mu > stripes > inputMu > qMu/errMu)",
-						fn.Name(), lockClassName(below))
+						"%s acquires a stripe while holding %s (hierarchy is %s)",
+						fn.Name(), lockClassName(below), hierarchy)
 				}
 				stripeHeld = true
 			case ev.kind == evAcquire && ev.class >= classInput:
 				label := lockClassName(ev.class)
-				switch {
+				switch peer, peerHeld := heldLeaf(ev.class); {
 				case heldC[ev.class]:
 					p.Reportf(ev.pos, "reentrant",
 						"%s re-acquires %s while holding it (sync.Mutex is not re-entrant)", fn.Name(), label)
-				case ev.class == classInput && (heldC[classConnQ] || heldC[classConnErr]):
-					below := classConnQ
-					if !heldC[classConnQ] {
-						below = classConnErr
-					}
+				case peerHeld && ev.class == classInput:
 					p.Reportf(ev.pos, "order",
-						"%s acquires inputMu while holding %s (hierarchy is Server.mu > stripes > inputMu > qMu/errMu)",
-						fn.Name(), lockClassName(below))
-				case ev.class != classInput && heldC[leafPeer(ev.class)]:
+						"%s acquires inputMu while holding %s (hierarchy is %s)",
+						fn.Name(), lockClassName(peer), hierarchy)
+				case peerHeld:
 					p.Reportf(ev.pos, "order",
-						"%s acquires %s while holding %s; the connection leaf locks are unordered peers — never hold both",
-						fn.Name(), label, lockClassName(leafPeer(ev.class)))
+						"%s acquires %s while holding %s; the connection leaf locks are unordered peers — never hold two",
+						fn.Name(), label, lockClassName(peer))
 				}
 				heldC[ev.class] = true
 			case ev.kind == evRelease && ev.class == classServer:
@@ -297,8 +306,8 @@ func runLockOrder(p *Pass) {
 							fn.Name(), ev.callee.Name())
 					} else if below, ok := heldBelow(); ok {
 						p.Reportf(ev.pos, "order",
-							"%s calls %s, which acquires the server lock, while holding %s (hierarchy is Server.mu > stripes > inputMu > qMu/errMu)",
-							fn.Name(), ev.callee.Name(), lockClassName(below))
+							"%s calls %s, which acquires the server lock, while holding %s (hierarchy is %s)",
+							fn.Name(), ev.callee.Name(), lockClassName(below), hierarchy)
 					}
 				}
 				if stAcq {
@@ -308,29 +317,28 @@ func runLockOrder(p *Pass) {
 							fn.Name(), ev.callee.Name(), ev.callee.Name())
 					} else if below, ok := heldBelow(); ok {
 						p.Reportf(ev.pos, "order",
-							"%s calls %s, which acquires a stripe, while holding %s (hierarchy is Server.mu > stripes > inputMu > qMu/errMu)",
-							fn.Name(), ev.callee.Name(), lockClassName(below))
+							"%s calls %s, which acquires a stripe, while holding %s (hierarchy is %s)",
+							fn.Name(), ev.callee.Name(), lockClassName(below), hierarchy)
 					}
 				}
-				for _, c := range []lockClass{classInput, classConnQ, classConnErr} {
+				for _, c := range belowStripes {
 					if !acquiresClass[c](ev.callee) {
 						continue
 					}
 					label := lockClassName(c)
-					switch {
+					switch peer, peerHeld := heldLeaf(c); {
 					case heldC[c]:
 						p.Reportf(ev.pos, "reentrant",
 							"%s calls %s while holding %s; %s re-acquires it (sync.Mutex is not re-entrant)",
 							fn.Name(), ev.callee.Name(), label, ev.callee.Name())
-					case c == classInput && (heldC[classConnQ] || heldC[classConnErr]):
-						below, _ := heldBelow()
+					case peerHeld && c == classInput:
 						p.Reportf(ev.pos, "order",
-							"%s calls %s, which acquires inputMu, while holding %s (hierarchy is Server.mu > stripes > inputMu > qMu/errMu)",
-							fn.Name(), ev.callee.Name(), lockClassName(below))
-					case c != classInput && heldC[leafPeer(c)]:
+							"%s calls %s, which acquires inputMu, while holding %s (hierarchy is %s)",
+							fn.Name(), ev.callee.Name(), lockClassName(peer), hierarchy)
+					case peerHeld:
 						p.Reportf(ev.pos, "order",
-							"%s calls %s, which acquires %s, while holding %s; the connection leaf locks are unordered peers — never hold both",
-							fn.Name(), ev.callee.Name(), label, lockClassName(leafPeer(c)))
+							"%s calls %s, which acquires %s, while holding %s; the connection leaf locks are unordered peers — never hold two",
+							fn.Name(), ev.callee.Name(), label, lockClassName(peer))
 					}
 				}
 			}
@@ -482,7 +490,7 @@ func collectLockEvents(p *Pass, fd *ast.FuncDecl) *funcLockInfo {
 // muOp recognizes <expr>.<field>.Lock() / RLock() / Unlock() /
 // RUnlock() where the field is a sync.Mutex or sync.RWMutex named for
 // one of the modeled classes: `mu` (server, or stripe when the owning
-// type is named "stripe"), `inputMu`, `qMu`, or `errMu`.
+// type is named "stripe"), `inputMu`, `qMu`, `errMu`, or `resMu`.
 func muOp(info *types.Info, call *ast.CallExpr) (lockEventKind, lockClass, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -511,6 +519,8 @@ func muOp(info *types.Info, call *ast.CallExpr) (lockEventKind, lockClass, bool)
 		class = classConnQ
 	case "errMu":
 		class = classConnErr
+	case "resMu":
+		class = classConnRes
 	default:
 		return 0, 0, false
 	}

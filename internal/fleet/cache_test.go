@@ -57,7 +57,11 @@ func TestQueryCacheMissRendersSiblings(t *testing.T) {
 	m := serveFleet(t, 1)
 	s := m.Session(0)
 
-	if queryResult(t, m, 0, swmproto.TargetStats); s.cache[slotClients].Load() == nil || s.cache[slotDesktop].Load() == nil {
+	// The siblings render in the miss's lane turn after the caller is
+	// answered; Drain waits for that turn to end.
+	queryResult(t, m, 0, swmproto.TargetStats)
+	m.Drain()
+	if s.cache[slotClients].Load() == nil || s.cache[slotDesktop].Load() == nil {
 		t.Error("stats miss did not pre-render clients/desktop siblings")
 	}
 	if s.cache[slotTrace].Load() != nil {

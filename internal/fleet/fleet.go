@@ -673,21 +673,22 @@ func (m *Manager) serveSession(id int, req swmproto.Request) swmproto.Response {
 	ch := make(chan swmproto.Response, 1)
 	var fn func()
 	if slot >= 0 {
-		// Cache miss: render on the lane, answer the caller, then
-		// publish — this render plus the cheap sibling targets, so one
+		// Cache miss: render on the lane, publish, answer the caller,
+		// then render and publish the cheap sibling targets, so one
 		// lane turn warms stats, clients and desktop together (the
 		// load mix hits all three; per-target misses would triple the
-		// turns). Trace refreshes only on its own miss: it serializes
-		// the whole ring and most traffic never asks for it.
+		// turns). Publishing before answering means a caller's repeat
+		// query hits what its miss rendered. Trace refreshes only on
+		// its own miss: it serializes the whole ring and most traffic
+		// never asks for it.
 		renderSlot, renderGen := slot, gen
 		fn = func() {
 			resp := s.wm.ServeProto(req)
-			ch <- resp
-			if !resp.OK {
-				return
+			if resp.OK {
+				s.cache[renderSlot].Store(&queryPayload{gen: renderGen, body: resp.Result})
 			}
-			s.cache[renderSlot].Store(&queryPayload{gen: renderGen, body: resp.Result})
-			if renderSlot == slotTrace {
+			ch <- resp
+			if !resp.OK || renderSlot == slotTrace {
 				return
 			}
 			for sib := slotStats; sib <= slotDesktop; sib++ {

@@ -150,3 +150,44 @@ func BenchmarkTranslateCoordinates(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkConnCloseAfterHistory closes a connection holding 10 windows
+// on a server where another connection has already created and
+// destroyed 1k or 100k windows. XIDs are never reused, so the cost of
+// Close must not depend on that history. Only Close is timed; each
+// iteration's own 10 windows add to the history.
+func BenchmarkConnCloseAfterHistory(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		history int
+	}{{"1k", 1_000}, {"100k", 100_000}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := NewServer()
+			root := s.Screens()[0].Root
+			r := xproto.Rect{Width: 10, Height: 10}
+			h := s.Connect("history")
+			for i := 0; i < bc.history; i++ {
+				w, err := h.CreateWindow(root, r, 0, WindowAttributes{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := h.DestroyWindow(w); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := s.Connect("client")
+				for j := 0; j < 10; j++ {
+					if _, err := c.CreateWindow(root, r, 0, WindowAttributes{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				c.Close()
+			}
+		})
+	}
+}

@@ -62,6 +62,11 @@ type Server struct {
 	conns  map[int]*Conn
 	nextFD int
 
+	// saveSets maps a window to the connections whose save-set holds
+	// it, so destroying a window touches only those connections.
+	// Guarded by mu exclusive, like Conn.saveSet.
+	saveSets map[xproto.XID][]*Conn
+
 	pointer pointerState
 	focus   atomic.Uint32 // XID; PointerRoot when unset
 
@@ -146,8 +151,9 @@ func NewServer(specs ...ScreenSpec) *Server {
 		specs = []ScreenSpec{{Width: 1152, Height: 900}}
 	}
 	s := &Server{
-		conns:  make(map[int]*Conn),
-		nextFD: 1,
+		conns:    make(map[int]*Conn),
+		nextFD:   1,
+		saveSets: make(map[xproto.XID][]*Conn),
 	}
 	s.nextID.Store(baseXID)
 	at := &atomTab{
@@ -197,9 +203,10 @@ func (s *Server) Connect(name string) *Conn {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c := &Conn{
-		server:  s,
-		name:    name,
-		saveSet: make(map[xproto.XID]bool),
+		server:   s,
+		name:     name,
+		saveSet:  make(map[xproto.XID]bool),
+		selected: make(map[xproto.XID]*window),
 	}
 	c.qCond = sync.NewCond(&c.qMu)
 	s.connMu.Lock()

@@ -9,12 +9,24 @@ import (
 )
 
 // Striped window table. The server's window index is sharded into
-// numStripes stripes by XID; each stripe holds a slot table addressed
-// by (xid - baseXID) / numStripes, so a lookup is two atomic loads and
-// a bounds check — no map hashing, no lock. XIDs are allocated
-// sequentially from baseXID, which both spreads consecutive windows
-// across stripes (adjacent ids land on adjacent stripes) and keeps the
-// per-stripe tables dense.
+// numStripes stripes by XID; within a stripe a window's slot is
+// (xid - baseXID) / numStripes, and slots are grouped into pageSlots-
+// slot pages reached through a per-stripe page directory. A lookup is
+// three atomic loads (directory, page, slot) and a bounds check — no
+// map hashing, no lock. XIDs are allocated sequentially from baseXID,
+// which spreads consecutive windows across stripes (adjacent ids land
+// on adjacent stripes) and keeps each live page dense.
+//
+// XIDs are never reused, so a table of slots would grow with every
+// window ever created. Pages instead count their occupants: destroying
+// a page's last window drops the page from the directory, so the index
+// holds pages only for live windows. The directory itself keeps one
+// pointer per page ever touched (8 bytes per pageSlots*numStripes
+// XIDs). Each stripe keeps its most recently dropped page as a spare
+// for the next page it links, so a create/destroy cycle on an
+// otherwise empty range does not allocate; a reader still holding the
+// page from its old position sees a window whose id is not the one it
+// asked for, and lookup rejects it.
 //
 // The per-stripe RWMutex serializes *structural* writers within a
 // stripe: window creation (slot insert + parent attach), map/unmap,
@@ -29,36 +41,67 @@ import (
 //
 // Lock hierarchy (outermost first):
 //
-//	Server.mu  >  stripes (ascending index)  >  Server.inputMu  >  Conn.qMu / Conn.errMu
+//	Server.mu  >  stripes (ascending index)  >  Server.inputMu  >  Conn.qMu / Conn.errMu / Conn.resMu
 //
-// Holding Server.mu exclusively implies every stripe: stripe holders
-// always hold Server.mu shared, so an exclusive holder has the table to
-// itself. Destroy, reparent, connection close and the fault-injection
-// path rely on that escalation instead of acquiring stripes.
+// The three connection locks are unordered leaf peers: nothing is
+// acquired while one is held. Holding Server.mu exclusively implies
+// every stripe: stripe holders always hold Server.mu shared, so an
+// exclusive holder has the table to itself. Destroy, reparent,
+// connection close and the fault-injection path rely on that escalation
+// instead of acquiring stripes.
 
 const (
 	numStripes  = 64
 	stripeMask  = numStripes - 1
 	stripeShift = 6 // log2(numStripes)
 
+	// pageSlots keeps a winPage (264 bytes) under 512 bytes, above
+	// which the Go allocator gives pointer-holding objects a per-object
+	// type header; 64-slot pages measured about 15% slower first
+	// manages on freshly started servers.
+	pageSlots = 32
+	pageMask  = pageSlots - 1
+	pageShift = 5 // log2(pageSlots)
+
 	// baseXID is the first XID allocID hands out. IDs below it (None,
 	// PointerRoot) are never windows.
 	baseXID = 0x200000
 )
 
-// winTab is one stripe's slot table. The slice itself is immutable
-// once published (growth copies into a fresh table); the slots are
-// individually atomic so inserts and removals need not clone.
-type winTab []atomic.Pointer[window]
+// winPage is pageSlots consecutive slots of one stripe. live counts
+// the non-nil slots; the page is unlinked from its directory when it
+// drops to zero.
+type winPage struct {
+	live  atomic.Int32
+	slots [pageSlots]atomic.Pointer[window]
+}
+
+// pageDir is one stripe's page directory. The slice itself is
+// immutable once published (growth copies into a fresh directory); the
+// entries are individually atomic so pages can be linked and unlinked
+// without cloning it.
+type pageDir []atomic.Pointer[winPage]
 
 type stripe struct {
 	mu  sync.RWMutex
-	tab atomic.Pointer[winTab]
-	_   [32]byte // pad to a cache line so stripes don't false-share
+	dir atomic.Pointer[pageDir]
+	// spare is an empty page unlinked from dir, reused by the next
+	// link. Guarded like the index writes: the stripe or Server.mu
+	// exclusively.
+	spare *winPage
+	_     [24]byte // pad to a cache line so stripes don't false-share
 }
 
 func stripeIndex(id xproto.XID) uint32 {
 	return uint32(id-baseXID) & stripeMask
+}
+
+// slotOf splits id into its stripe, page-directory index and slot
+// within the page.
+func (s *Server) slotOf(id xproto.XID) (st *stripe, page, slot uint32) {
+	k := uint32(id - baseXID)
+	i := k >> stripeShift
+	return &s.stripes[k&stripeMask], i >> pageShift, i & pageMask
 }
 
 // lookup returns the live window for id, or nil if the id is unknown
@@ -67,87 +110,64 @@ func (s *Server) lookup(id xproto.XID) *window {
 	if id < baseXID {
 		return nil
 	}
-	k := uint32(id - baseXID)
-	tp := s.stripes[k&stripeMask].tab.Load()
-	if tp == nil {
+	st, pi, si := s.slotOf(id)
+	dp := st.dir.Load()
+	if dp == nil || pi >= uint32(len(*dp)) {
 		return nil
 	}
-	tab := *tp
-	i := k >> stripeShift
-	if i >= uint32(len(tab)) {
+	pg := (*dp)[pi].Load()
+	if pg == nil {
 		return nil
 	}
-	w := tab[i].Load()
-	if w == nil || w.destroyed.Load() {
+	w := pg.slots[si].Load()
+	if w == nil || w.id != id || w.destroyed.Load() {
 		return nil
 	}
 	return w
 }
 
-// indexPut publishes w in its stripe's slot table. Caller must hold
-// w's stripe or Server.mu exclusively.
+// indexPut publishes w in its stripe's index, growing the directory or
+// linking a fresh page as needed. Caller must hold w's stripe or
+// Server.mu exclusively.
 func (s *Server) indexPut(w *window) {
-	k := uint32(w.id - baseXID)
-	st := &s.stripes[k&stripeMask]
-	i := k >> stripeShift
-	tp := st.tab.Load()
-	var tab winTab
-	if tp != nil {
-		tab = *tp
+	st, pi, si := s.slotOf(w.id)
+	dp := st.dir.Load()
+	var dir pageDir
+	if dp != nil {
+		dir = *dp
 	}
-	if i >= uint32(len(tab)) {
-		n := uint32(len(tab)) * 2
-		// Growth floor of 64 slots: a stripe's first growth covers a
-		// busy server's whole share (64 stripes × 64 slots = 4096
-		// windows) so the per-stripe growth chain is one step, not
-		// four. 512 bytes per touched stripe.
-		if n < i+64 {
-			n = i + 64
+	if pi >= uint32(len(dir)) {
+		nd := make(pageDir, max(2*len(dir), int(pi)+1))
+		for j := range dir {
+			nd[j].Store(dir[j].Load())
 		}
-		nt := make(winTab, n)
-		for j := range tab {
-			nt[j].Store(tab[j].Load())
-		}
-		nt[i].Store(w)
-		st.tab.Store(&nt)
-	} else {
-		tab[i].Store(w)
+		st.dir.Store(&nd)
+		dir = nd
 	}
+	pg := dir[pi].Load()
+	if pg == nil {
+		if pg, st.spare = st.spare, nil; pg == nil {
+			pg = &winPage{}
+		}
+		dir[pi].Store(pg)
+	}
+	pg.slots[si].Store(w)
+	pg.live.Add(1)
 	s.winCount.Add(1)
 }
 
-// indexDel clears w's slot. Caller must hold w's stripe or Server.mu
-// exclusively.
+// indexDel clears w's slot and unlinks its page when w was the last
+// window on it. Caller must hold w's stripe or Server.mu exclusively.
 func (s *Server) indexDel(w *window) {
-	k := uint32(w.id - baseXID)
-	tp := s.stripes[k&stripeMask].tab.Load()
-	if tp == nil {
-		return
+	st, pi, si := s.slotOf(w.id)
+	dir := *st.dir.Load()
+	pg := dir[pi].Load()
+	pg.slots[si].Store(nil)
+	if pg.live.Add(-1) == 0 {
+		dir[pi].Store(nil)
+		st.spare = pg
 	}
-	tab := *tp
-	i := k >> stripeShift
-	if i < uint32(len(tab)) {
-		tab[i].Store(nil)
-		s.winCount.Add(-1)
-	}
-}
-
-// forEachWindow calls fn for every live window. Caller must hold
-// Server.mu (either mode); with the shared lock the iteration sees a
-// weakly consistent snapshot.
-func (s *Server) forEachWindow(fn func(*window)) {
-	for si := range s.stripes {
-		tp := s.stripes[si].tab.Load()
-		if tp == nil {
-			continue
-		}
-		tab := *tp
-		for i := range tab {
-			if w := tab[i].Load(); w != nil && !w.destroyed.Load() {
-				fn(w)
-			}
-		}
-	}
+	s.winCount.Add(-1)
 }
 
 // LockObserver receives stripe-contention telemetry from the

@@ -1,6 +1,7 @@
 package xserver
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -828,6 +829,83 @@ func TestCloseDestroysOwnedWindows(t *testing.T) {
 	client.Close()
 	if _, err := other.GetGeometry(w); err == nil {
 		t.Error("window survived owner close without save-set")
+	}
+}
+
+// TestCloseDropsForeignSelections closes a connection that selects on
+// the root and on another connection's window and owns windows both on
+// the root and nested under a foreign window: its masks go, its windows
+// are destroyed in ascending XID order, and the other connection's
+// windows and selections stay.
+func TestCloseDropsForeignSelections(t *testing.T) {
+	s, other := newTestServer(t)
+	c := s.Connect("client")
+	root := s.Screens()[0].Root
+	r := xproto.Rect{Width: 10, Height: 10}
+	f := mustCreate(t, other, root, r)
+	g := mustCreate(t, other, root, r)
+	const sub = xproto.SubstructureNotifyMask
+	for _, id := range []xproto.XID{root, f} {
+		if err := other.SelectInput(id, sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []xproto.XID{root, f, g} {
+		if err := c.SelectInput(id, sub|xproto.PropertyChangeMask); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Owned windows alternate between the root and the foreign f, with
+	// enough of them that map iteration order would show.
+	var owned []xproto.XID
+	for i := 0; i < 16; i++ {
+		parent := root
+		if i%2 == 1 {
+			parent = f
+		}
+		owned = append(owned, mustCreate(t, c, parent, r))
+	}
+	// c's selection on its own window is not a foreign selection.
+	if err := c.SelectInput(owned[0], sub); err != nil {
+		t.Fatal(err)
+	}
+	drain(other)
+
+	c.Close()
+
+	var destroyed []xproto.XID
+	for _, ev := range drain(other) {
+		if ev.Type == xproto.DestroyNotify {
+			destroyed = append(destroyed, ev.Subwindow)
+		}
+	}
+	if !slices.Equal(destroyed, owned) {
+		t.Errorf("DestroyNotify order = %v, want ascending %v", destroyed, owned)
+	}
+	for _, id := range owned {
+		if _, err := other.GetGeometry(id); err == nil {
+			t.Errorf("owned window 0x%x survived Close", uint32(id))
+		}
+	}
+	for _, id := range []xproto.XID{root, f, g} {
+		w := s.lookup(id)
+		if w == nil {
+			t.Fatalf("window 0x%x destroyed by another connection's Close", uint32(id))
+		}
+		if m := w.maskOf(c); m != 0 {
+			t.Errorf("closed connection still selects %v on 0x%x", m, uint32(id))
+		}
+	}
+	for _, id := range []xproto.XID{root, f} {
+		if s.lookup(id).maskOf(other) != sub {
+			t.Errorf("other connection lost its selection on 0x%x", uint32(id))
+		}
+	}
+	if n := s.NumWindows(); n != 3 {
+		t.Errorf("NumWindows = %d after Close, want 3 (root, f, g)", n)
+	}
+	if len(c.owned) != 0 || len(c.selected) != 0 {
+		t.Errorf("closed connection still records %d owned, %d selected windows", len(c.owned), len(c.selected))
 	}
 }
 
