@@ -10,11 +10,12 @@
 //
 // The concurrency suite machine-checks the striped/lock-free xserver
 // scheme (DESIGN.md §12–13): lockorder models the full hierarchy
-// Server.mu > stripes > inputMu > Conn.qMu/errMu/resMu, atomicfield forbids
-// mixed atomic/plain access to a field, snapshotimmut freezes values
-// published through atomic.Pointer Stores, seqlock pins the odd/even
-// writer and retry-reader protocols of seq-guarded entries, and
-// waiveraudit keeps the //swm:ok ledger from accreting dead entries.
+// Server.mu > stripes > inputMu > Conn.qMu/errMu/resMu/faultMu,
+// atomicfield forbids mixed atomic/plain access to a field,
+// snapshotimmut freezes values published through atomic.Pointer
+// Stores, seqlock pins the odd/even writer and retry-reader protocols
+// of seq-guarded entries, and waiveraudit keeps the //swm:ok ledger
+// from accreting dead entries.
 //
 // The suite is built only on the standard library (go/parser, go/ast,
 // go/types); there is deliberately no golang.org/x/tools dependency so

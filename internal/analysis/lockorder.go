@@ -59,11 +59,12 @@ import (
 //
 // Below the stripes the hierarchy continues through the input-dispatch
 // lock and the per-connection leaf locks: Server.mu > stripes >
-// inputMu > Conn.qMu/errMu/resMu. Fields named inputMu, qMu, errMu and
-// resMu of type sync.Mutex/RWMutex form four more classes; acquiring
-// up the chain while holding a lower lock (or a leaf while holding a
-// peer leaf — the three are unordered) is lockorder.order, and
-// re-acquiring any of them while held is lockorder.reentrant.
+// inputMu > Conn.qMu/errMu/resMu/faultMu. Fields named inputMu, qMu,
+// errMu, resMu and faultMu of type sync.Mutex/RWMutex form five more
+// classes; acquiring up the chain while holding a lower lock (or a
+// leaf while holding a peer leaf — the four are unordered) is
+// lockorder.order, and re-acquiring any of them while held is
+// lockorder.reentrant.
 //
 // The region tracking is linear in source order, which is exact for
 // the straight-line lock-defer-unlock shape the package uses and a
@@ -83,18 +84,19 @@ const (
 )
 
 // lockClass distinguishes the modeled lock classes, in hierarchy order:
-// Server.mu > stripes > inputMu > Conn.qMu/errMu/resMu (DESIGN.md §12).
-// The connection leaf locks share a rank and are unordered peers —
-// holding two at once is itself a violation.
+// Server.mu > stripes > inputMu > Conn.qMu/errMu/resMu/faultMu
+// (DESIGN.md §12). The connection leaf locks share a rank and are
+// unordered peers — holding two at once is itself a violation.
 type lockClass int
 
 const (
 	classServer lockClass = iota
 	classStripe
-	classInput   // a field named inputMu (the input-dispatch lock)
-	classConnQ   // a field named qMu (per-connection event queue leaf)
-	classConnErr // a field named errMu (per-connection error queue leaf)
-	classConnRes // a field named resMu (per-connection resource-set leaf)
+	classInput     // a field named inputMu (the input-dispatch lock)
+	classConnQ     // a field named qMu (per-connection event queue leaf)
+	classConnErr   // a field named errMu (per-connection error queue leaf)
+	classConnRes   // a field named resMu (per-connection resource-set leaf)
+	classConnFault // a field named faultMu (per-connection fault-schedule leaf)
 	numLockClasses
 )
 
@@ -113,18 +115,20 @@ func lockClassName(c lockClass) string {
 		return "errMu"
 	case classConnRes:
 		return "resMu"
+	case classConnFault:
+		return "faultMu"
 	}
 	return "?"
 }
 
 // connLeaves are the per-connection leaf classes, unordered peers.
-var connLeaves = []lockClass{classConnQ, classConnErr, classConnRes}
+var connLeaves = []lockClass{classConnQ, classConnErr, classConnRes, classConnFault}
 
 // belowStripes are the classes under the stripes, outermost first.
 var belowStripes = append([]lockClass{classInput}, connLeaves...)
 
 // hierarchy renders the lock order for findings.
-const hierarchy = "Server.mu > stripes > inputMu > qMu/errMu/resMu"
+const hierarchy = "Server.mu > stripes > inputMu > qMu/errMu/resMu/faultMu"
 
 // stripesFile is the one file allowed to touch stripe locks directly.
 const stripesFile = "stripes.go"
@@ -490,7 +494,8 @@ func collectLockEvents(p *Pass, fd *ast.FuncDecl) *funcLockInfo {
 // muOp recognizes <expr>.<field>.Lock() / RLock() / Unlock() /
 // RUnlock() where the field is a sync.Mutex or sync.RWMutex named for
 // one of the modeled classes: `mu` (server, or stripe when the owning
-// type is named "stripe"), `inputMu`, `qMu`, `errMu`, or `resMu`.
+// type is named "stripe"), `inputMu`, `qMu`, `errMu`, `resMu`, or
+// `faultMu`.
 func muOp(info *types.Info, call *ast.CallExpr) (lockEventKind, lockClass, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -521,6 +526,8 @@ func muOp(info *types.Info, call *ast.CallExpr) (lockEventKind, lockClass, bool)
 		class = classConnErr
 	case "resMu":
 		class = classConnRes
+	case "faultMu":
+		class = classConnFault
 	default:
 		return 0, 0, false
 	}

@@ -60,8 +60,8 @@ func (s *Server) sizeLocked() int {
 }
 
 // Observe is the instrument-point shape: the callback fires with the
-// lock held (shared here, exclusive elsewhere) — clean, like the
-// faultLocked instrument gate in internal/xserver.
+// lock held (shared here, exclusive elsewhere) — clean, like a batched
+// op's instrument call in internal/xserver.
 func (s *Server) Observe(k int) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -277,16 +277,23 @@ func (b *Batch) Flush() error {
 }
 
 // applyBatchLocked executes recorded ops on behalf of c. Each op runs
-// through the same fault-injection gate and *Locked helper as its
-// unbatched counterpart, so a batch is observationally identical to
-// the equivalent request sequence — including which faults fire and
-// which events are generated.
+// through the same fault decision and *Locked helper as its unbatched
+// counterpart, so a batch is observationally identical to the
+// equivalent request sequence — including which faults fire and which
+// events are generated. The lock is already held, so a KillTarget
+// destroy happens inline rather than through gate.
 func (s *Server) applyBatchLocked(c *Conn, ops []batchOp) error {
 	var first error
 	for i := range ops {
 		op := &ops[i]
-		err := c.faultLocked(op.ck.major, op.faultTarget())
-		if err == nil {
+		var err error
+		target := op.faultTarget()
+		if xe, kill := c.fault(op.ck.major, target); xe != nil {
+			if kill {
+				c.killTargetLocked(target)
+			}
+			err = c.note(xe)
+		} else {
 			err = s.applyOpLocked(c, op)
 		}
 		op.ck.err = err
@@ -301,8 +308,7 @@ func (s *Server) applyBatchLocked(c *Conn, ops []batchOp) error {
 func (s *Server) applyOpLocked(c *Conn, op *batchOp) error {
 	switch op.kind {
 	case opCreateWindow:
-		_, err := c.createWindowLocked(op.id, op.parent, op.rect, op.bw, op.attrs)
-		return err
+		return c.createWindowLocked(op.id, op.parent, op.rect, op.bw, op.attrs)
 	case opDestroyWindow:
 		return c.destroyWindowLocked(op.id)
 	case opMapWindow:

@@ -49,12 +49,12 @@ type faultState struct {
 
 // SetFaultPolicy installs (or, with nil, removes) a fault policy on
 // this connection. Counters restart from zero each time a policy is
-// installed. While a policy is installed, every request on this
-// connection routes through its exclusive-locked variant so the
-// deterministic schedule observes a serialized request sequence.
+// installed. The policy changes no request's locking: the schedule
+// counts requests in the order they reach the gate, which for a
+// connection driven by one goroutine is the order they were issued.
 func (c *Conn) SetFaultPolicy(p *FaultPolicy) {
-	c.server.mu.Lock()
-	defer c.server.mu.Unlock()
+	c.faultMu.Lock()
+	defer c.faultMu.Unlock()
 	old := c.gates.Load()
 	var in Instrument
 	if old != nil {
@@ -81,8 +81,8 @@ func (c *Conn) SetFaultPolicy(p *FaultPolicy) {
 // FaultCount reports how many faults have been injected since the
 // current policy was installed.
 func (c *Conn) FaultCount() int {
-	c.server.mu.Lock()
-	defer c.server.mu.Unlock()
+	c.faultMu.Lock()
+	defer c.faultMu.Unlock()
 	g := c.gates.Load()
 	if g == nil || g.faults == nil {
 		return 0
@@ -102,33 +102,50 @@ func (c *Conn) SetErrorHandler(h func(*xproto.XError)) {
 	c.errHandler = h
 }
 
-// faultLocked is called at the top of every exclusive-locked request
-// variant (before the target lookup, so faults fire for valid requests
-// too). It returns the injected error, or nil to proceed normally.
-// It also fires the connection's instrument: lock-free fast paths fire
-// the instrument themselves through gate() and bypass this function
-// entirely when no fault policy is installed, so each request observes
-// the instrument exactly once either way. The fault schedule itself
-// only ever runs under mu held exclusively (installing a policy forces
-// every request on the connection onto its gated variant), so the
-// counters need no further synchronization.
-func (c *Conn) faultLocked(major string, target xproto.XID) error {
+// gate is the one door every request passes before its ordinary body,
+// and before it takes any server lock. It returns the injected error,
+// already noted, or nil to let the request run. A KillTarget fault
+// destroys its target here, under the exclusive lock taken just for
+// the destroy.
+func (c *Conn) gate(major string, target xproto.XID) error {
+	xe, kill := c.fault(major, target)
+	if xe == nil {
+		return nil
+	}
+	if kill {
+		c.server.mu.Lock()
+		c.killTargetLocked(target)
+		c.server.mu.Unlock()
+	}
+	return c.note(xe)
+}
+
+// fault fires the connection's instrument, then decides whether the
+// fault policy fails this request. It reports the error to inject (nil
+// to proceed) and whether the target must be destroyed first. The
+// instrument fires before the decision, so a faulted request is still
+// observed. Only the schedule's counters and rng need faultMu, and
+// nothing else is acquired while it is held, so gate and Batch.Flush
+// (which holds the server lock) share this one decision.
+func (c *Conn) fault(major string, target xproto.XID) (*xproto.XError, bool) {
 	g := c.gates.Load()
 	if g == nil {
-		return nil
+		return nil, false
 	}
 	if g.in != nil {
 		g.in.Request(major, target)
 	}
 	f := g.faults
 	if f == nil {
-		return nil
+		return nil, false
 	}
+	c.faultMu.Lock()
+	defer c.faultMu.Unlock()
 	if f.policy.Times > 0 && f.fired >= f.policy.Times {
-		return nil
+		return nil, false
 	}
 	if f.ops != nil && !f.ops[major] {
-		return nil
+		return nil, false
 	}
 	f.seen++
 	fire := false
@@ -139,22 +156,26 @@ func (c *Conn) faultLocked(major string, target xproto.XID) error {
 		fire = f.rng.Float64() < f.policy.Rate
 	}
 	if !fire {
-		return nil
+		return nil, false
 	}
 	f.fired++
 	code := f.policy.Code
 	if code == 0 {
 		code = xproto.BadWindow
 	}
-	if f.policy.KillTarget && target != xproto.None {
-		if w := c.server.lookup(target); w != nil && !w.isRoot && w.owner != c {
-			c.server.destroyLocked(w)
-		}
-	}
-	return c.note(&xproto.XError{
+	return &xproto.XError{
 		Code: code, Major: major, Resource: target,
 		Detail: fmt.Sprintf("injected fault #%d on 0x%x", f.fired, uint32(target)),
-	})
+	}, f.policy.KillTarget && target != xproto.None
+}
+
+// killTargetLocked carries out a KillTarget fault: the target dies if
+// it is a live, non-root window owned by another connection. Caller
+// must hold the server lock exclusively.
+func (c *Conn) killTargetLocked(target xproto.XID) {
+	if w := c.server.lookup(target); w != nil && !w.isRoot && w.owner != c {
+		c.server.destroyLocked(w)
+	}
 }
 
 // note reports err to the connection's error handler (exactly once per

@@ -11,12 +11,12 @@ import (
 )
 
 // TestRequestMajorsMatchFaultSites cross-checks the RequestMajors list
-// against the faultLocked call sites in this package's sources. The
+// against the gate call sites in this package's sources. The
 // list exists so instrument implementations can pre-build per-major
 // state; a request method added without updating it would silently
 // land in an instrument's "other" bucket.
 func TestRequestMajorsMatchFaultSites(t *testing.T) {
-	re := regexp.MustCompile(`faultLocked\("([A-Za-z]+)"`)
+	re := regexp.MustCompile(`c\.gate\("([A-Za-z]+)"`)
 	sites := map[string]bool{}
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -32,7 +32,7 @@ func TestRequestMajorsMatchFaultSites(t *testing.T) {
 		}
 	}
 	if len(sites) == 0 {
-		t.Fatal("no faultLocked call sites found — did the gate get renamed?")
+		t.Fatal("no gate call sites found — did the gate get renamed?")
 	}
 
 	listed := map[string]bool{}
@@ -44,12 +44,12 @@ func TestRequestMajorsMatchFaultSites(t *testing.T) {
 	}
 	for major := range sites {
 		if !listed[major] {
-			t.Errorf("faultLocked site %q missing from RequestMajors", major)
+			t.Errorf("gate site %q missing from RequestMajors", major)
 		}
 	}
 	for major := range listed {
 		if !sites[major] {
-			t.Errorf("RequestMajors lists %q but no faultLocked site uses it", major)
+			t.Errorf("RequestMajors lists %q but no gate site uses it", major)
 		}
 	}
 	if !sort.StringsAreSorted(RequestMajors) {

@@ -37,9 +37,12 @@ import (
 //     stripes of the touched windows, acquired in ascending stripe
 //     order through the stripes.go doorways.
 //   - Tree surgery and rare ops (ReparentWindow, DestroyWindow,
-//     Connect/Close, grabs, focus, SendEvent, batch flush, and any
-//     request on a connection with a fault policy installed) hold mu
-//     *exclusively*, which implies every stripe.
+//     Connect/Close, grabs, focus, SendEvent, batch flush, and the
+//     destroy of a KillTarget fault) hold mu *exclusively*, which
+//     implies every stripe.
+//
+// A fault policy changes none of this: faults are decided before the
+// request body runs, under the connection's own faultMu leaf.
 //
 // XID allocation is atomic so batches can assign IDs to CreateWindow
 // requests before the batch is flushed (the Xlib model: clients own

@@ -41,14 +41,14 @@ import (
 //
 // Lock hierarchy (outermost first):
 //
-//	Server.mu  >  stripes (ascending index)  >  Server.inputMu  >  Conn.qMu / Conn.errMu / Conn.resMu
+//	Server.mu  >  stripes (ascending index)  >  Server.inputMu  >  Conn.qMu / Conn.errMu / Conn.resMu / Conn.faultMu
 //
-// The three connection locks are unordered leaf peers: nothing is
+// The four connection locks are unordered leaf peers: nothing is
 // acquired while one is held. Holding Server.mu exclusively implies
 // every stripe: stripe holders always hold Server.mu shared, so an
 // exclusive holder has the table to itself. Destroy, reparent,
-// connection close and the fault-injection path rely on that escalation
-// instead of acquiring stripes.
+// connection close and a KillTarget fault's destroy rely on that
+// escalation instead of acquiring stripes.
 
 const (
 	numStripes  = 64
