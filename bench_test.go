@@ -571,6 +571,11 @@ func BenchmarkPerfConcurrentClients64(b *testing.B) { perfbench.ConcurrentClient
 // zero-alloc serving work is gated on (blocking at ≤20 allocs/op).
 func BenchmarkPerfHTTPStatsQuery(b *testing.B) { perfbench.HTTPStatsQuery()(b) }
 
+// BenchmarkPerfHTTPStatsMiss is one stats query right after an exec
+// invalidated the session's snapshot cache — the lane re-render of
+// stats, clients and desktop the instrument index is gated on.
+func BenchmarkPerfHTTPStatsMiss(b *testing.B) { perfbench.HTTPStatsMiss()(b) }
+
 // BenchmarkPerfSwmloadFleetHTTP is the network service layer under
 // load: a 64-session fleet behind the swmhttp transport on a loopback
 // listener, driven by 128 concurrent swmload workers (one op is a

@@ -5,7 +5,10 @@
 // (the xrdb trie compiler's shape) are clean.
 package snapshotimmut
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 type snap struct {
 	items []int
@@ -118,4 +121,45 @@ func (c *cacheSlot) scribbleCached() {
 	}
 	p.body[0] = '!' // want `published memory is frozen`
 	p.gen++         // want `published memory is frozen`
+}
+
+// index/registry mimic the obs instrument registry: the live sorted
+// names are the owner's own fields, edited in place under its lock; a
+// registration clears the published copy, and the next reader
+// publishes a fresh clone. Clean — only the clone is ever published.
+type index struct {
+	names []string
+}
+
+type registry struct {
+	mu    sync.Mutex
+	names []string // live, guarded by mu
+	pub   atomic.Pointer[index]
+}
+
+func (r *registry) register(i int, name string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.names = append(r.names, "")
+	copy(r.names[i+1:], r.names[i:])
+	r.names[i] = name
+	r.pub.Store(nil)
+}
+
+func (r *registry) published() *index {
+	if ix := r.pub.Load(); ix != nil {
+		return ix
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ix := &index{names: append([]string(nil), r.names...)}
+	r.pub.Store(ix)
+	return ix
+}
+
+// renameInPlace edits a name through the published index, which every
+// concurrent reader walks without a lock.
+func (r *registry) renameInPlace(name string) {
+	ix := r.published()
+	ix.names[0] = name // want `published memory is frozen`
 }

@@ -64,6 +64,11 @@ type wmMetrics struct {
 	// Server.SetLockObserver in New): contended acquisitions and how
 	// long they waited.
 	lockInst *obs.LockInstrument
+
+	// statsLen is the length of the last stats render, the next
+	// render's buffer size. Touched only by ServeProto, on the event
+	// loop.
+	statsLen int
 }
 
 func newWMMetrics(reg *obs.Registry, trace *obs.Trace) *wmMetrics {

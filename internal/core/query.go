@@ -92,8 +92,16 @@ func (wm *WM) ServeProto(req swmproto.Request) swmproto.Response {
 		// a custom marshaler and the result is cached upstream anyway.
 		switch req.Target {
 		case swmproto.TargetStats:
-			res := wm.statsResult()
-			return swmproto.OKResult(swmproto.AppendStatsResult(make([]byte, 0, 2048), &res))
+			var lastErr string
+			if err := wm.LastError(); err != nil {
+				lastErr = err.Error()
+			}
+			// Size the buffer from the last render: values only grow a
+			// digit at a time, so one allocation usually suffices.
+			data := swmproto.AppendStats(make([]byte, 0, max(2048, wm.metrics.statsLen+256)),
+				wm.metrics.registry, wm.Degraded(), lastErr)
+			wm.metrics.statsLen = len(data)
+			return swmproto.OKResult(data)
 		case swmproto.TargetTrace:
 			data, err := json.Marshal(wm.traceResult())
 			if err != nil {
@@ -128,17 +136,6 @@ func (wm *WM) sendReply(req swmproto.Request, resp swmproto.Response) {
 	wm.check(nil, "write SWM_REPLY", wm.conn.ChangeProperty(
 		xproto.XID(req.ReplyWindow), wm.conn.InternAtom(swmproto.ReplyProperty),
 		wm.conn.InternAtom("STRING"), 8, xproto.PropModeReplace, data))
-}
-
-func (wm *WM) statsResult() swmproto.StatsResult {
-	res := swmproto.StatsResult{
-		Metrics:  wm.metrics.registry.Snapshot(),
-		Degraded: wm.Degraded(),
-	}
-	if err := wm.LastError(); err != nil {
-		res.LastError = err.Error()
-	}
-	return res
 }
 
 func (wm *WM) traceResult() swmproto.TraceResult {

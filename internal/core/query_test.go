@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -312,4 +314,41 @@ func TestQueryPropertyConsumed(t *testing.T) {
 	if _, ok, _ := conn.GetProperty(wm.screens[0].Root, conn.InternAtom(swmproto.QueryProperty)); ok {
 		t.Error("SWM_QUERY not consumed after serving")
 	}
+}
+
+// TestQueryStatsMatchesSnapshotJSON pins the streamed stats render on a
+// real WM registry — every instrument the WM, its connection and its
+// panner register, after managing clients, with and without a recorded
+// degradation — to encoding/json's rendering of the map-based Snapshot.
+func TestQueryStatsMatchesSnapshotJSON(t *testing.T) {
+	s, wm := newWM(t, Options{VirtualDesktop: true, EnablePanner: true})
+	for _, inst := range []string{"xterm", "xclock", "xterm"} {
+		launch(t, s, wm, clients.Config{Instance: inst, Class: "XTerm", Width: 200, Height: 100})
+	}
+	render := func() {
+		t.Helper()
+		resp := wm.ServeProto(swmproto.Request{Op: swmproto.OpQuery, Target: swmproto.TargetStats})
+		if !resp.OK {
+			t.Fatalf("stats query failed: %s", resp.Error)
+		}
+		want := swmproto.StatsResult{Metrics: wm.Metrics().Snapshot(), Degraded: wm.Degraded()}
+		if err := wm.LastError(); err != nil {
+			want.LastError = err.Error()
+		}
+		data, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resp.Result, data) {
+			t.Errorf("stats render diverges from encoding/json\n got: %s\nwant: %s", resp.Result, data)
+		}
+	}
+	render()
+
+	// A degradation sets last_error, with characters that need escaping.
+	wm.check(nil, "parity probe", errors.New(`lost <window> & "frame" \ é`))
+	if wm.LastError() == nil || wm.Degraded() == 0 {
+		t.Fatal("check recorded no degradation")
+	}
+	render()
 }

@@ -1,9 +1,9 @@
 // Text exposition and the visitor seam. The registry has exactly one
 // enumeration doorway — Visit — and every consumer rides it: Snapshot
-// (the JSON shape swmcmd -query stats and SWM_OBS_SNAPSHOT round-trip)
-// and ExportText (the Prometheus text form /metrics serves) are both
-// visitors, so neither reaches into registry internals and the two
-// views cannot drift apart.
+// (the JSON map shape SWM_OBS_SNAPSHOT dumps), swmproto.AppendStats
+// (the stats query's wire form) and ExportText (the Prometheus text
+// form /metrics serves) are all visitors, so none reaches into
+// registry internals and the views cannot drift apart.
 package obs
 
 import (
@@ -25,48 +25,22 @@ type Visitor interface {
 }
 
 // Visit walks the registry: counters, then gauges, then histograms,
-// each in sorted name order. The walk happens outside the registry
-// lock — the instrument set is copied first — so a visitor may take as
-// long as it likes (a slow scrape) without blocking registration.
+// each in sorted name order. The walk reads the registry's published
+// index (see Registry) and sorts nothing; only the first walk after a
+// registration takes the registry lock, briefly, to rebuild that
+// index. A visitor may take as long as it likes (a slow scrape)
+// without blocking registration; instruments registered during the
+// walk appear in the next one.
 func (r *Registry) Visit(v Visitor) {
-	type namedCounter struct {
-		name string
-		c    *Counter
+	ix := r.index()
+	for _, e := range ix.counters {
+		v.VisitCounter(e.name, e.inst.Value())
 	}
-	type namedGauge struct {
-		name string
-		g    *Gauge
+	for _, e := range ix.gauges {
+		v.VisitGauge(e.name, e.inst.Value())
 	}
-	type namedHistogram struct {
-		name string
-		h    *Histogram
-	}
-	r.mu.Lock()
-	counters := make([]namedCounter, 0, len(r.counters))
-	for name, c := range r.counters {
-		counters = append(counters, namedCounter{name, c})
-	}
-	gauges := make([]namedGauge, 0, len(r.gauges))
-	for name, g := range r.gauges {
-		gauges = append(gauges, namedGauge{name, g})
-	}
-	histograms := make([]namedHistogram, 0, len(r.histograms))
-	for name, h := range r.histograms {
-		histograms = append(histograms, namedHistogram{name, h})
-	}
-	r.mu.Unlock()
-
-	sort.Slice(counters, func(i, j int) bool { return counters[i].name < counters[j].name })
-	sort.Slice(gauges, func(i, j int) bool { return gauges[i].name < gauges[j].name })
-	sort.Slice(histograms, func(i, j int) bool { return histograms[i].name < histograms[j].name })
-	for _, nc := range counters {
-		v.VisitCounter(nc.name, nc.c.Value())
-	}
-	for _, ng := range gauges {
-		v.VisitGauge(ng.name, ng.g.Value())
-	}
-	for _, nh := range histograms {
-		v.VisitHistogram(nh.name, nh.h)
+	for _, e := range ix.histograms {
+		v.VisitHistogram(e.name, e.inst)
 	}
 }
 

@@ -16,9 +16,12 @@
 //  2. Instruments are registered once, at construction time, and held
 //     as struct fields thereafter. Registry lookups never happen on a
 //     hot path.
-//  3. Readers never block writers. Snapshot() assembles a consistent-
-//     enough view from atomic loads; it allocates freely because it
-//     runs on the cold query path (swmcmd -query stats).
+//  3. Readers never block writers. Visit walks a published, name-sorted
+//     instrument index with atomic loads and no lock, and the stats
+//     render on the fleet cache's miss path streams from it
+//     (swmproto.AppendStats). Snapshot() builds maps from the same
+//     walk and allocates freely; only cold callers use it (swmfleet,
+//     SWM_OBS_SNAPSHOT dumps, benchmarks).
 //
 // Instruments may be invoked while the X server's lock is held (the
 // connection instrument fires inside the request gate), so nothing in
@@ -27,7 +30,8 @@
 package obs
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -164,62 +168,95 @@ var SizeBounds = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
 // existing instrument — and guarded by a mutex; it happens at
 // construction time only. Reads of registered instruments are plain
 // atomic loads on the instruments themselves.
+//
+// Each kind is one name-sorted slice: a registration binary-searches
+// its name and inserts in place, so the registry is always in the
+// order Visit (and encoding/json's map keys) want. Visit reads a
+// frozen copy published through pub. A registration clears pub rather
+// than re-copying, and the first Visit after it rebuilds the copy, so
+// a WM registering its instruments one by one pays for one copy, not
+// one per instrument.
 type Registry struct {
 	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	counters   []named[Counter] // guarded by mu, sorted by name
+	gauges     []named[Gauge]
+	histograms []named[Histogram]
+	pub        atomic.Pointer[regIndex] // frozen copy of the above; nil when stale
+}
+
+// named is one instrument index entry.
+type named[T any] struct {
+	name string
+	inst *T
+}
+
+// regIndex is the published, read-only instrument index Visit walks.
+type regIndex struct {
+	counters   []named[Counter]
+	gauges     []named[Gauge]
+	histograms []named[Histogram]
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-	}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Counter returns the named counter, registering it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return register(r, &r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, registering it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return register(r, &r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named histogram, registering it with the given
 // bounds on first use. Later calls ignore bounds and return the
 // existing instrument.
 func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
+	return register(r, &r.histograms, name, func() *Histogram { return NewHistogram(bounds) })
+}
+
+// register returns the instrument called name in the sorted list,
+// inserting a new one from mk at its sorted position if there is none.
+func register[T any](r *Registry, list *[]named[T], name string, mk func() *T) *T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = NewHistogram(bounds)
-		r.histograms[name] = h
+	i, ok := slices.BinarySearchFunc(*list, name, func(e named[T], name string) int {
+		return strings.Compare(e.name, name)
+	})
+	if ok {
+		return (*list)[i].inst
 	}
-	return h
+	inst := mk()
+	*list = slices.Insert(*list, i, named[T]{name, inst})
+	r.pub.Store(nil)
+	return inst
+}
+
+// index returns the published instrument index, rebuilding it under mu
+// when a registration has made it stale.
+func (r *Registry) index() *regIndex {
+	if ix := r.pub.Load(); ix != nil {
+		return ix
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ix := r.pub.Load()
+	if ix == nil {
+		ix = &regIndex{
+			counters:   slices.Clone(r.counters),
+			gauges:     slices.Clone(r.gauges),
+			histograms: slices.Clone(r.histograms),
+		}
+		r.pub.Store(ix)
+	}
+	return ix
 }
 
 // Snapshot is a point-in-time copy of every registered instrument,
-// shaped for JSON (swmcmd -query stats round-trips it).
+// shaped for JSON (swmcmd -query stats decodes the stats payload into
+// it).
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
@@ -244,12 +281,10 @@ func (r *Registry) Snapshot() Snapshot {
 // CounterNames returns the registered counter names, sorted (tests and
 // diagnostics).
 func (r *Registry) CounterNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		out = append(out, name)
+	ix := r.index()
+	out := make([]string, len(ix.counters))
+	for i, e := range ix.counters {
+		out[i] = e.name
 	}
-	sort.Strings(out)
 	return out
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"sync"
 	"testing"
 )
 
@@ -80,28 +79,6 @@ func TestRegistrySnapshot(t *testing.T) {
 	names := reg.CounterNames()
 	if len(names) != 1 || names[0] != "c" {
 		t.Errorf("CounterNames = %v", names)
-	}
-}
-
-func TestConcurrentRegistry(t *testing.T) {
-	reg := NewRegistry()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				reg.Counter("shared").Inc()
-				reg.Histogram("lat", LatencyBounds).Observe(int64(j))
-			}
-		}()
-	}
-	wg.Wait()
-	if got := reg.Counter("shared").Value(); got != 8000 {
-		t.Errorf("shared = %d, want 8000", got)
-	}
-	if got := reg.Histogram("lat", LatencyBounds).Count(); got != 8000 {
-		t.Errorf("lat count = %d, want 8000", got)
 	}
 }
 

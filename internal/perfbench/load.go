@@ -12,6 +12,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/swmhttp"
 	"repro/internal/swmload"
+	"repro/internal/swmproto"
 )
 
 // loadSummaries is the side channel between the load workloads and the
@@ -143,28 +144,8 @@ func (w *nullResponseWriter) WriteHeader(int)             {}
 // allocation) shows up as tens of extra allocs immediately.
 func HTTPStatsQuery() func(b *testing.B) {
 	return func(b *testing.B) {
-		m, err := fleet.New(fleet.Config{Sessions: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
+		m, h, req, w := statsFleet(b)
 		defer m.Close()
-		m.StartAll()
-		m.Drain()
-		srv := m.Session(0).Server()
-		for j := 0; j < 2; j++ {
-			if _, err := clients.Launch(srv, clients.Config{
-				Instance: fmt.Sprintf("c%d", j), Class: "XTerm",
-				Width: 120, Height: 90, X: 8 * j, Y: 6 * j,
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		m.Pump(0)
-		m.Drain()
-
-		h := swmhttp.New(m, swmhttp.Config{}).Handler()
-		req := httptest.NewRequest(http.MethodGet, "/v1/sessions/0/stats", nil)
-		w := &nullResponseWriter{h: make(http.Header)}
 		h.ServeHTTP(w, req) // populate the snapshot cache
 		if w.n == 0 {
 			b.Fatal("warm-up request produced no body")
@@ -176,4 +157,65 @@ func HTTPStatsQuery() func(b *testing.B) {
 			h.ServeHTTP(w, req)
 		}
 	}
+}
+
+// HTTPStatsMiss measures one stats query right after an invalidation:
+// each iteration runs an untimed `exec f.nop`, which bumps counters and
+// so invalidates the session's snapshot cache, then times the stats
+// GET, which takes a lane turn and re-renders stats, clients and
+// desktop, until the lane is idle again. This is the render the query cache cannot absorb on a
+// write-heavy fleet, so its alloc budget is blocking.
+func HTTPStatsMiss() func(b *testing.B) {
+	return func(b *testing.B) {
+		m, h, req, w := statsFleet(b)
+		defer m.Close()
+		nop := swmproto.Request{Op: swmproto.OpExec, Command: "f.nop"}
+
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if resp := m.ServeSession(0, nop); !resp.OK {
+				b.Fatalf("exec f.nop: %s", resp.Error)
+			}
+			b.StartTimer()
+			h.ServeHTTP(w, req)
+			// The lane renders the sibling targets after answering;
+			// wait for them so every op counts the whole re-render.
+			m.Drain()
+		}
+		b.StopTimer()
+		if w.n == 0 {
+			b.Fatal("stats requests produced no body")
+		}
+	}
+}
+
+// statsFleet builds the one-session fleet the stats workloads query:
+// two managed clients, the full swmhttp handler stack, a stats GET and
+// a discarding response writer.
+func statsFleet(b *testing.B) (*fleet.Manager, http.Handler, *http.Request, *nullResponseWriter) {
+	b.Helper()
+	m, err := fleet.New(fleet.Config{Sessions: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.StartAll()
+	m.Drain()
+	srv := m.Session(0).Server()
+	for j := 0; j < 2; j++ {
+		if _, err := clients.Launch(srv, clients.Config{
+			Instance: fmt.Sprintf("c%d", j), Class: "XTerm",
+			Width: 120, Height: 90, X: 8 * j, Y: 6 * j,
+		}); err != nil {
+			m.Close()
+			b.Fatal(err)
+		}
+	}
+	m.Pump(0)
+	m.Drain()
+
+	h := swmhttp.New(m, swmhttp.Config{}).Handler()
+	req := httptest.NewRequest(http.MethodGet, "/v1/sessions/0/stats", nil)
+	return m, h, req, &nullResponseWriter{h: make(http.Header)}
 }

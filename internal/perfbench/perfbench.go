@@ -82,7 +82,12 @@ var PreChange = map[string]Baseline{
 // protocol op with the socket factored out: a warm snapshot-cache hit
 // through middleware, mux, and pooled envelope write measures ~3
 // allocs/op, and the budget of 20 means even one stray per-request
-// rendering step fails the job.
+// rendering step fails the job. http-stats-miss is its cache-miss
+// twin: every timed GET follows an exec that invalidated the cache, so
+// it measures the lane re-render of stats, clients and desktop. Maps
+// and sorts in that render cost 58 allocs/op; streaming stats from the
+// sorted instrument index measures 22, and the budget of 28 (~25%
+// headroom) fails any return to per-render maps.
 var AllocBudgets = map[string]int64{
 	"manage-100-clients":    9000,
 	"move-storm":            38,
@@ -91,6 +96,7 @@ var AllocBudgets = map[string]int64{
 	"fleet-1000-sessions":   1_200_000,
 	"concurrent-clients-64": 6000,
 	"http-stats-query":      20,
+	"http-stats-miss":       28,
 	"swmload-fleet-http":    800_000,
 }
 
@@ -165,6 +171,7 @@ func Workloads() []Workload {
 		{Name: "fleet-1000-sessions", Bench: FleetSessions(1000, 10)},
 		{Name: "concurrent-clients-64", Bench: ConcurrentClients(64)},
 		{Name: "http-stats-query", Bench: HTTPStatsQuery()},
+		{Name: "http-stats-miss", Bench: HTTPStatsMiss()},
 		{Name: "swmload-fleet-http", Bench: FleetHTTPLoad(64, 128, 20000)},
 		{Name: "wm-comparison/manage-25-twm", Bench: manage25(newTwmPump)},
 		{Name: "wm-comparison/manage-25-swm", Bench: manage25(newSwmPump)},

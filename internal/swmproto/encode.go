@@ -136,102 +136,85 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 	return append(dst, '}')
 }
 
-// AppendStatsResult appends the TargetStats payload, byte-identical to
-// json.Marshal(*s).
-func AppendStatsResult(dst []byte, s *StatsResult) []byte {
-	dst = append(dst, `{"metrics":`...)
-	dst = appendMetricsSnapshot(dst, &s.Metrics)
-	dst = append(dst, `,"degraded":`...)
-	dst = strconv.AppendInt(dst, int64(s.Degraded), 10)
-	if s.LastError != "" {
+// AppendStats appends the TargetStats payload for reg, byte-identical
+// to json.Marshal(StatsResult{Metrics: reg.Snapshot(), Degraded:
+// degraded, LastError: lastErr}). It streams from reg.Visit, whose
+// name order within each kind is encoding/json's map-key order, so the
+// render builds no snapshot maps and sorts nothing.
+func AppendStats(dst []byte, reg *obs.Registry, degraded int, lastErr string) []byte {
+	e := &statsEncoder{dst: append(dst, `{"metrics":{"counters":{`...)}
+	reg.Visit(e)
+	e.enter(len(statsSectionEnds))
+	dst = append(e.dst, `,"degraded":`...)
+	dst = strconv.AppendInt(dst, int64(degraded), 10)
+	if lastErr != "" {
 		dst = append(dst, `,"last_error":`...)
-		dst = appendJSONString(dst, s.LastError)
+		dst = appendJSONString(dst, lastErr)
 	}
 	return append(dst, '}')
 }
 
-func appendMetricsSnapshot(dst []byte, s *obs.Snapshot) []byte {
-	dst = append(dst, `{"counters":`...)
-	dst = appendInt64Map(dst, s.Counters)
-	dst = append(dst, `,"gauges":`...)
-	dst = appendInt64Map(dst, s.Gauges)
-	dst = append(dst, `,"histograms":`...)
-	dst = appendHistogramMap(dst, s.Histograms)
-	return append(dst, '}')
+// statsSectionEnds closes each metrics section in Visit order
+// (counters, gauges, histograms) and opens the next.
+var statsSectionEnds = [...]string{`},"gauges":{`, `},"histograms":{`, `}}`}
+
+// statsEncoder is the obs.Visitor behind AppendStats.
+type statsEncoder struct {
+	dst     []byte
+	section int  // index into statsSectionEnds of the open section
+	more    bool // the open section already holds an entry
 }
 
-func appendInt64Map(dst []byte, m map[string]int64) []byte {
-	if m == nil {
-		return append(dst, "null"...)
+// enter closes open sections until section is the open one.
+func (e *statsEncoder) enter(section int) {
+	for ; e.section < section; e.section++ {
+		e.dst = append(e.dst, statsSectionEnds[e.section]...)
+		e.more = false
 	}
-	dst = append(dst, '{')
-	for i, k := range sortedKeys(m) {
-		if i > 0 {
-			dst = append(dst, ',')
+}
+
+// key starts the entry called name in section.
+func (e *statsEncoder) key(section int, name string) {
+	e.enter(section)
+	if e.more {
+		e.dst = append(e.dst, ',')
+	}
+	e.more = true
+	e.dst = appendJSONString(e.dst, name)
+	e.dst = append(e.dst, ':')
+}
+
+func (e *statsEncoder) VisitCounter(name string, value int64) {
+	e.key(0, name)
+	e.dst = strconv.AppendInt(e.dst, value, 10)
+}
+
+func (e *statsEncoder) VisitGauge(name string, value int64) {
+	e.key(1, name)
+	e.dst = strconv.AppendInt(e.dst, value, 10)
+}
+
+// VisitHistogram renders the obs.HistogramSnapshot form of h.
+func (e *statsEncoder) VisitHistogram(name string, h *obs.Histogram) {
+	e.key(2, name)
+	e.dst = append(e.dst, `{"count":`...)
+	e.dst = strconv.AppendInt(e.dst, h.Count(), 10)
+	e.dst = append(e.dst, `,"sum":`...)
+	e.dst = strconv.AppendInt(e.dst, h.Sum(), 10)
+	e.dst = append(e.dst, `,"buckets":[`...)
+	first := true
+	h.Range(func(upperBound, count int64) {
+		if !first {
+			e.dst = append(e.dst, ',')
 		}
-		dst = appendJSONString(dst, k)
-		dst = append(dst, ':')
-		dst = strconv.AppendInt(dst, m[k], 10)
-	}
-	return append(dst, '}')
-}
-
-func appendHistogramMap(dst []byte, m map[string]obs.HistogramSnapshot) []byte {
-	if m == nil {
-		return append(dst, "null"...)
-	}
-	dst = append(dst, '{')
-	for i, k := range sortedKeys(m) {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendJSONString(dst, k)
-		dst = append(dst, ':')
-		dst = appendHistogramSnapshot(dst, m[k])
-	}
-	return append(dst, '}')
-}
-
-func appendHistogramSnapshot(dst []byte, h obs.HistogramSnapshot) []byte {
-	dst = append(dst, `{"count":`...)
-	dst = strconv.AppendInt(dst, h.Count, 10)
-	dst = append(dst, `,"sum":`...)
-	dst = strconv.AppendInt(dst, h.Sum, 10)
-	dst = append(dst, `,"buckets":`...)
-	if h.Buckets == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, b := range h.Buckets {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"le":`...)
-			dst = strconv.AppendInt(dst, b.UpperBound, 10)
-			dst = append(dst, `,"count":`...)
-			dst = strconv.AppendInt(dst, b.Count, 10)
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
-	}
-	return append(dst, '}')
-}
-
-// sortedKeys returns m's keys in encoding/json's map order (ascending
-// byte-wise), for either snapshot map type.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	// Insertion sort: snapshot maps are small (tens of keys) and this
-	// keeps the encoder dependency-free.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
+		first = false
+		e.dst = append(e.dst, `{"le":`...)
+		e.dst = strconv.AppendInt(e.dst, upperBound, 10)
+		e.dst = append(e.dst, `,"count":`...)
+		e.dst = strconv.AppendInt(e.dst, count, 10)
+		e.dst = append(e.dst, '}')
+	})
+	e.dst = append(e.dst, "]}"...)
 }
 
 // AppendClientsResult appends the TargetClients payload, byte-identical

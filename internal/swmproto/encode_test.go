@@ -3,6 +3,7 @@ package swmproto
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -73,25 +74,52 @@ func TestAppendResponseParity(t *testing.T) {
 	}
 }
 
-func TestAppendStatsResultParity(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("wm.managed").Add(3)
-	reg.Counter("a.first").Inc()
-	reg.Counter("Z.capital-sorts-first").Inc()
-	reg.Counter("weird<name>&").Inc()
-	reg.Gauge("fleet.sessions_live").Set(-2)
-	h := reg.Histogram("pump.latency_ns", obs.LatencyBounds)
-	h.Observe(120)
-	h.Observe(5_000_000)
+// statsParity fails the test unless AppendStats renders reg exactly as
+// encoding/json renders the map-based StatsResult built from its
+// Snapshot.
+func statsParity(t *testing.T, reg *obs.Registry, degraded int, lastErr string) {
+	t.Helper()
+	parity(t, AppendStats(nil, reg, degraded, lastErr),
+		StatsResult{Metrics: reg.Snapshot(), Degraded: degraded, LastError: lastErr})
+}
 
-	cases := []StatsResult{
-		{Metrics: reg.Snapshot(), Degraded: 2, LastError: "X error <Window> & more\n"},
-		{Metrics: reg.Snapshot()},
-		{}, // zero value: nil snapshot maps must render as null
+// kindRegistry registers one instrument of each kind whose bit is set
+// in kinds (1 counters, 2 gauges, 4 histograms), named from names.
+func kindRegistry(kinds int, names []string) *obs.Registry {
+	reg := obs.NewRegistry()
+	for i, name := range names {
+		if kinds&1 != 0 {
+			reg.Counter(name).Add(int64(i + 1))
+		}
+		if kinds&2 != 0 {
+			reg.Gauge(name).Set(int64(-i))
+		}
+		if kinds&4 != 0 {
+			h := reg.Histogram(name, []int64{10, 100})
+			h.Observe(int64(i * 40))
+			h.Observe(1 << 40)
+		}
 	}
-	for _, res := range cases {
-		parity(t, AppendStatsResult(nil, &res), res)
+	return reg
+}
+
+func TestAppendStatsParity(t *testing.T) {
+	plain := []string{"wm.managed", "a.first", "Z.capital-sorts-first", "pump.latency_ns"}
+	// Every subset of kinds: the empty registry (0), each kind alone,
+	// and each kind empty while the other two are not.
+	for kinds := 0; kinds < 8; kinds++ {
+		reg := kindRegistry(kinds, plain)
+		statsParity(t, reg, 0, "")
+		statsParity(t, reg, 2, "X error <Window> & more\n")
 	}
+	// Names that need escaping, and names whose byte order differs
+	// from their escaped order.
+	statsParity(t, kindRegistry(7, trickyStrings), 1, `quote " and <tag> & \ é`)
+
+	// A bound-less histogram renders its lone overflow bucket.
+	reg := obs.NewRegistry()
+	reg.Histogram("only.overflow", nil).Observe(3)
+	statsParity(t, reg, 0, "")
 }
 
 func TestAppendClientsResultParity(t *testing.T) {
@@ -159,5 +187,31 @@ func FuzzResponseEncodeParity(f *testing.F) {
 			resp.Result = raw
 		}
 		parity(t, AppendResponse(nil, &resp), resp)
+	})
+}
+
+// FuzzStatsEncodeParity pins AppendStats to encoding/json over
+// registries built from fuzzed names and values: names is split on
+// '|', and the i-th name goes to counters, gauges or histograms by
+// i mod 3 (a repeated name reuses its instrument).
+func FuzzStatsEncodeParity(f *testing.F) {
+	f.Add("wm.managed|fleet.live|pump.ns", int64(7), 0, "")
+	f.Add("b|a|c|a|b|c", int64(-3), 2, "lost <window> & more")
+	f.Add("html <tag> & entity|invalid \xff\xfe utf8|multibyte héllo ☃ 日本|quote \" \\", int64(1)<<40, 1, "\x00\u2028")
+	f.Fuzz(func(t *testing.T, names string, v int64, degraded int, lastErr string) {
+		reg := obs.NewRegistry()
+		for i, name := range strings.Split(names, "|") {
+			switch i % 3 {
+			case 0:
+				reg.Counter(name).Add(v)
+			case 1:
+				reg.Gauge(name).Set(v - int64(i))
+			default:
+				h := reg.Histogram(name, obs.SizeBounds)
+				h.Observe(v)
+				h.Observe(int64(i))
+			}
+		}
+		statsParity(t, reg, degraded, lastErr)
 	})
 }

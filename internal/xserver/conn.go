@@ -44,7 +44,7 @@ type Conn struct {
 
 	// saveSet is guarded by the server's exclusive lock (it is only
 	// touched by ChangeSaveSet, destroy sweeps and Close). Server.saveSets
-	// indexes the same membership by window.
+	// indexes the same membership by window. Nil until the first insert.
 	saveSet map[xproto.XID]bool
 
 	// resMu is a leaf lock guarding the connection's resource sets, so
@@ -58,7 +58,8 @@ type Conn struct {
 	// removal is a swap with the last entry.
 	owned []*window
 	// selected holds every live window, not created by this
-	// connection, on which it has a nonzero event mask.
+	// connection, on which it has a nonzero event mask. Nil until the
+	// first insert.
 	selected map[xproto.XID]*window
 
 	// gates bundles the request-path hooks (instrument + fault policy)
@@ -1178,6 +1179,9 @@ func (c *Conn) changeSaveSetLocked(id xproto.XID, insert bool) error {
 	if !insert {
 		c.server.dropSaveSetLocked(c, id)
 	} else if !c.saveSet[id] {
+		if c.saveSet == nil {
+			c.saveSet = make(map[xproto.XID]bool)
+		}
 		c.saveSet[id] = true
 		c.server.saveSets[id] = append(c.server.saveSets[id], c)
 	}
@@ -1224,6 +1228,9 @@ func (c *Conn) disown(w *window) {
 func (c *Conn) trackSelection(w *window, on bool) {
 	c.resMu.Lock()
 	if on {
+		if c.selected == nil {
+			c.selected = make(map[xproto.XID]*window)
+		}
 		c.selected[w.id] = w
 	} else {
 		delete(c.selected, w.id)

@@ -205,12 +205,7 @@ func (s *Server) Screens() []*Screen {
 func (s *Server) Connect(name string) *Conn {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c := &Conn{
-		server:   s,
-		name:     name,
-		saveSet:  make(map[xproto.XID]bool),
-		selected: make(map[xproto.XID]*window),
-	}
+	c := &Conn{server: s, name: name}
 	c.qCond = sync.NewCond(&c.qMu)
 	s.connMu.Lock()
 	c.fd = s.nextFD
