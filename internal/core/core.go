@@ -139,10 +139,13 @@ type Screen struct {
 	DesktopW, DesktopH int
 	PanX, PanY         int
 	panner             *Panner
-	// pannerDirty and viewDirty coalesce redraw work: call sites mark
-	// them and flushRedraw settles the panner/scrollbars once per event
-	// burst (see markPannerDirty/markViewDirty).
-	pannerDirty, viewDirty     bool
+	// miniQueue is the panner's damage queue: the clients whose
+	// miniature may no longer mirror them, each queued once (see
+	// Client.miniQueued). viewDirty marks a pan. Call sites mark them and
+	// flushRedraw settles the panner/scrollbars once per event burst
+	// (see markMiniDirty/markPannerDirty/markViewDirty).
+	miniQueue                  []*Client
+	viewDirty                  bool
 	hscroll, vscroll           xproto.XID
 	rootBindings               *bindings.Table
 	rootPanels                 []*Client
@@ -210,6 +213,9 @@ type Client struct {
 	// Internal clients created by the WM itself.
 	isRootPanel bool
 	isPanner    bool
+
+	// miniQueued reports that the client is on its screen's miniQueue.
+	miniQueued bool
 }
 
 // Icon is a realized icon appearance panel for one client (§4.1.2).
@@ -613,23 +619,23 @@ func (wm *WM) Run() (restart bool) {
 	return wm.restartRequested
 }
 
-// flushRedraw settles dirty redraw state: at most one panner sync and
-// one viewport/scrollbar refresh per screen, regardless of how many
-// events marked them since the last flush.
+// flushRedraw settles dirty redraw state: at most one panner sync
+// (plus one repair pass after a failed miniature op) and one
+// viewport/scrollbar refresh per screen, regardless of how many events
+// marked them since the last flush.
 func (wm *WM) flushRedraw() {
 	for _, scr := range wm.screens {
-		synced := false
-		if scr.pannerDirty {
-			scr.pannerDirty = false
-			wm.syncPanner(scr)
-			synced = true
+		if len(scr.miniQueue) > 0 || scr.viewDirty {
+			wm.syncPanner(scr, scr.viewDirty)
+			if len(scr.miniQueue) > 0 {
+				// The first pass dropped miniatures whose ops failed and
+				// queued their clients again: rebuild them now rather
+				// than at the next event burst.
+				wm.syncPanner(scr, false)
+			}
 		}
 		if scr.viewDirty {
 			scr.viewDirty = false
-			// syncPanner already repositioned the viewport outline.
-			if !synced {
-				wm.updatePannerViewport(scr)
-			}
 			wm.updateScrollbars(scr)
 		}
 	}
@@ -698,6 +704,7 @@ func (wm *WM) Close() {
 		scr.holders = nil
 		scr.menus = nil
 		scr.panner = nil
+		scr.miniQueue = nil
 		scr.extraDesktops = nil
 	}
 }

@@ -105,9 +105,7 @@ func (wm *WM) ResizeDesktop(scr *Screen, w, h int) {
 	// early-outs when the clamped offset equals the current one, which
 	// is exactly the case after a shrink that leaves PanX/PanY inside
 	// the new bounds but the scrollbars and panner drawn for the old
-	// size — so move and mark unconditionally here. (This used to call
-	// updatePannerViewport directly and then again via the full panner
-	// rebuild; the dirty bits collapse both into one flush.)
+	// size — so move and mark unconditionally here.
 	scr.PanX = clamp(scr.PanX, 0, w-scr.Width)
 	scr.PanY = clamp(scr.PanY, 0, h-scr.Height)
 	wm.check(nil, "pan desktop", wm.conn.MoveWindow(scr.Desktop, -scr.PanX, -scr.PanY))
@@ -132,7 +130,7 @@ func (wm *WM) Stick(c *Client) error {
 	c.FrameRect.X -= scr.PanX
 	c.FrameRect.Y -= scr.PanY
 	c.Sticky = true
-	wm.markPannerDirty(scr)
+	wm.markMiniDirty(c)
 	return wm.redecorate(c)
 }
 
@@ -149,7 +147,7 @@ func (wm *WM) Unstick(c *Client) error {
 	c.FrameRect.X += scr.PanX
 	c.FrameRect.Y += scr.PanY
 	c.Sticky = false
-	wm.markPannerDirty(scr)
+	wm.markMiniDirty(c)
 	return wm.redecorate(c)
 }
 

@@ -143,6 +143,8 @@ func (wm *WM) handlePropertyNotify(ev xproto.Event) {
 		if ok {
 			c.Name = name
 			wm.applyNameLabels(c)
+			// The miniature label falls back to WM_NAME.
+			wm.markMiniDirty(c)
 		}
 	case "WM_ICON_NAME":
 		name, ok, err := icccm.GetIconName(wm.conn, c.Win)

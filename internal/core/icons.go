@@ -38,7 +38,7 @@ func (wm *WM) Iconify(c *Client) error {
 	wm.check(c, "set WM_STATE iconic", icccm.SetState(wm.conn, c.Win, icccm.State{
 		State: xproto.IconicState, IconWindow: c.icon.Window(),
 	}))
-	wm.markPannerDirty(c.scr)
+	wm.markMiniDirty(c)
 	return nil
 }
 
@@ -60,7 +60,7 @@ func (wm *WM) Deiconify(c *Client) error {
 	}
 	c.State = xproto.NormalState
 	wm.check(c, "set WM_STATE normal", icccm.SetState(wm.conn, c.Win, icccm.State{State: xproto.NormalState}))
-	wm.markPannerDirty(c.scr)
+	wm.markMiniDirty(c)
 	return nil
 }
 

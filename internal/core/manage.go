@@ -292,7 +292,7 @@ func (wm *WM) manage(win xproto.XID, pre *adoptPrefetch) (*Client, error) {
 	}
 
 	wm.sendSyntheticConfigure(c)
-	wm.markPannerDirty(scr)
+	wm.markMiniDirty(c)
 	if _, still := wm.clients[win]; !still {
 		// A post-registration request hit the death race and the client
 		// was already unmanaged; it no longer exists for the caller.
@@ -449,6 +449,7 @@ func (wm *WM) redecorate(c *Client) error {
 	}
 	c.FrameRect.Width = c.frame.Rect.Width
 	c.FrameRect.Height = c.frame.Rect.Height
+	wm.markMiniDirty(c)
 	if attrs, err := wm.conn.GetWindowAttributes(c.Win); err == nil && attrs.MapState != xproto.IsUnmapped {
 		c.ignoreUnmaps++
 	}
@@ -527,7 +528,7 @@ func (wm *WM) Unmanage(c *Client, clientGone bool) {
 	if wm.resizing != nil && wm.resizing.client == c {
 		wm.resizing = nil
 	}
-	wm.markPannerDirty(c.scr)
+	wm.markMiniDirty(c)
 }
 
 // registerObjectWindows indexes every decoration object window for
@@ -562,6 +563,7 @@ func (wm *WM) applyNameLabels(c *Client) {
 		wm.check(c, "sync name labels", objects.SyncGeometry(wm.conn, c.frame))
 		c.FrameRect.Width = c.frame.Rect.Width
 		c.FrameRect.Height = c.frame.Rect.Height
+		wm.markMiniDirty(c)
 	}
 	if c.icon != nil {
 		if o := c.icon.tree.Find("iconname"); o != nil && c.IconName != "" {
@@ -640,7 +642,7 @@ func (wm *WM) moveFrame(c *Client, x, y int) {
 	c.FrameRect.X, c.FrameRect.Y = x, y
 	wm.check(c, "move frame", wm.conn.MoveWindow(c.frame.Window, x, y))
 	wm.sendSyntheticConfigure(c)
-	wm.markPannerDirty(c.scr)
+	wm.markMiniDirty(c)
 }
 
 // resizeClient resizes the client window and rebuilds the frame layout
@@ -663,7 +665,7 @@ func (wm *WM) resizeClient(c *Client, w, h int) {
 	c.FrameRect.Height = c.frame.Rect.Height
 	wm.syncResizeCorners(c)
 	wm.sendSyntheticConfigure(c)
-	wm.markPannerDirty(c.scr)
+	wm.markMiniDirty(c)
 }
 
 // screenOf finds the Screen whose root is an ancestor of win.
@@ -746,6 +748,7 @@ func (wm *WM) relayoutFrame(c *Client) {
 	}))
 	c.FrameRect.Width = c.frame.Rect.Width
 	c.FrameRect.Height = c.frame.Rect.Height
+	wm.markMiniDirty(c)
 }
 
 // MoveClientTo places the client's frame at (x, y) in parent

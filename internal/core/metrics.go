@@ -19,6 +19,34 @@ const (
 	numErrorSlots = int(xproto.BadAccess) + 1
 )
 
+// Instrument names are the same in every WM, so they are built once
+// per process rather than once per WM: a fleet constructs one WM per
+// session.
+var (
+	eventCounterNames = func() (names [numEventSlots]string) {
+		for t := xproto.KeyPress; t <= xproto.ShapeNotify; t++ {
+			names[t] = "event." + t.String()
+		}
+		return names
+	}()
+	errCodeCounterNames = func() (names [numErrorSlots]string) {
+		for _, code := range []xproto.ErrorCode{
+			xproto.BadRequest, xproto.BadValue, xproto.BadWindow, xproto.BadAtom,
+			xproto.BadMatch, xproto.BadDrawable, xproto.BadAccess,
+		} {
+			names[code] = "xerr.code." + code.String()
+		}
+		return names
+	}()
+	errOpCounterNames = func() []string {
+		names := make([]string, len(xserver.RequestMajors))
+		for i, major := range xserver.RequestMajors {
+			names[i] = "xerr.op." + major
+		}
+		return names
+	}()
+)
+
 // wmMetrics is the WM's build-once instrument set: every counter and
 // histogram the hot paths touch, resolved to struct fields or
 // fixed-size arrays at construction so recording is always a direct
@@ -93,17 +121,18 @@ func newWMMetrics(reg *obs.Registry, trace *obs.Trace) *wmMetrics {
 
 		lockInst: obs.NewLockInstrument(reg),
 	}
-	for t := xproto.KeyPress; t <= xproto.ShapeNotify; t++ {
-		m.events[t] = reg.Counter("event." + t.String())
+	for t, name := range eventCounterNames {
+		if name != "" {
+			m.events[t] = reg.Counter(name)
+		}
 	}
-	for _, code := range []xproto.ErrorCode{
-		xproto.BadRequest, xproto.BadValue, xproto.BadWindow, xproto.BadAtom,
-		xproto.BadMatch, xproto.BadDrawable, xproto.BadAccess,
-	} {
-		m.errsByCode[code] = reg.Counter("xerr.code." + code.String())
+	for code, name := range errCodeCounterNames {
+		if name != "" {
+			m.errsByCode[code] = reg.Counter(name)
+		}
 	}
-	for _, major := range xserver.RequestMajors {
-		m.errsByOp[major] = reg.Counter("xerr.op." + major)
+	for i, major := range xserver.RequestMajors {
+		m.errsByOp[major] = reg.Counter(errOpCounterNames[i])
 	}
 	return m
 }

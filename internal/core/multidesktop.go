@@ -159,7 +159,7 @@ func (wm *WM) SendToDesktop(c *Client, n int) error {
 	wm.check(c, "set SWM_ROOT", wm.conn.ChangeProperty(c.Win, wm.conn.InternAtom("SWM_ROOT"),
 		wm.conn.InternAtom("WINDOW"), 32, xproto.PropModeReplace, data))
 	wm.sendSyntheticConfigure(c)
-	wm.markPannerDirty(scr)
+	wm.markMiniDirty(c)
 	return nil
 }
 

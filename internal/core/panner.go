@@ -26,12 +26,14 @@ type Panner struct {
 
 	scale int // desktop pixels per panner pixel
 
-	viewport xproto.XID             // viewport outline child window
-	minis    map[xproto.XID]*Client // miniature child -> client
-	// miniOf is the reverse index: the miniature mirroring each client,
-	// with the geometry and label last pushed to the server so syncPanner
-	// can skip clients whose mirrored state is unchanged.
+	viewport xproto.XID // viewport outline child window
+	// miniOf maps each mirrored client to its miniature, with the
+	// geometry and label last pushed to the server so syncPanner
+	// records ops only for state that actually changed.
 	miniOf map[*Client]*miniature
+	// ops holds one sync's recorded ops until their cookies resolve;
+	// the backing array is reused across syncs.
+	ops []miniOp
 }
 
 // miniature is the panner-side record of one client's miniature window.
@@ -40,6 +42,24 @@ type miniature struct {
 	rect  xproto.Rect
 	label string
 }
+
+// miniOp is one op syncPanner recorded against a miniature.
+type miniOp struct {
+	kind miniOpKind
+	c    *Client
+	win  xproto.XID
+	ck   *xserver.Cookie
+}
+
+type miniOpKind uint8
+
+const (
+	miniDestroy miniOpKind = iota
+	miniCreate
+	miniUpdate
+	miniFill
+	miniMap
+)
 
 // createPanner builds and manages the panner window.
 func (wm *WM) createPanner(scr *Screen) error {
@@ -60,7 +80,6 @@ func (wm *WM) createPanner(scr *Screen) error {
 	}
 	p := &Panner{
 		wm: wm, scr: scr, content: content, scale: scale,
-		minis:  make(map[xproto.XID]*Client),
 		miniOf: make(map[*Client]*miniature),
 	}
 	wm.check(nil, "panner class", icccm.SetClass(wm.conn, content, icccm.Class{Instance: "panner", Class: "SwmPanner"}))
@@ -84,7 +103,7 @@ func (wm *WM) createPanner(scr *Screen) error {
 
 	// Viewport outline.
 	vp, err := wm.conn.CreateWindow(content, xproto.Rect{
-		X: 0, Y: 0, Width: scr.Width / scale, Height: scr.Height / scale,
+		X: scr.PanX / scale, Y: scr.PanY / scale, Width: scr.Width / scale, Height: scr.Height / scale,
 	}, 1, xserverAttrs("view"))
 	if err != nil {
 		return err
@@ -93,7 +112,7 @@ func (wm *WM) createPanner(scr *Screen) error {
 		return err
 	}
 	p.viewport = vp
-	wm.syncPanner(scr)
+	wm.markPannerDirty(scr)
 	return nil
 }
 
@@ -111,25 +130,45 @@ func (p *Panner) Scale() int { return p.scale }
 
 // Miniatures returns the miniature-window -> client mapping.
 func (p *Panner) Miniatures() map[xproto.XID]*Client {
-	out := make(map[xproto.XID]*Client, len(p.minis))
-	for k, v := range p.minis {
-		out[k] = v
+	out := make(map[xproto.XID]*Client, len(p.miniOf))
+	for c, m := range p.miniOf {
+		out[m.win] = c
 	}
 	return out
 }
 
 // MiniatureCount reports the number of miniatures without copying the
 // mapping the way Miniatures does.
-func (p *Panner) MiniatureCount() int { return len(p.minis) }
+func (p *Panner) MiniatureCount() int { return len(p.miniOf) }
 
-// markPannerDirty schedules a panner sync for the next flushRedraw.
-// The ~10 places that used to rebuild the panner inline (manage,
-// unmanage, move, resize, iconify, desktop switch, ...) now just set
-// this bit, so an event burst costs one sync instead of one rebuild
-// per event.
+// markMiniDirty queues c for the next panner sync: something its
+// miniature mirrors (frame geometry, state, stickiness, label,
+// managedness) may have changed. A burst of changes to one client
+// costs one queue entry, and a sync costs only what was queued.
+func (wm *WM) markMiniDirty(c *Client) {
+	if c.miniQueued || c.scr.panner == nil {
+		return
+	}
+	c.miniQueued = true
+	c.scr.miniQueue = append(c.scr.miniQueue, c)
+}
+
+// markPannerDirty queues the whole desktop: every client of the screen
+// and every existing miniature. It is for changes that are not about
+// one client (desktop resize, desktop switch, f.refresh); they go
+// through the same sync as everything else.
 func (wm *WM) markPannerDirty(scr *Screen) {
-	if scr.panner != nil {
-		scr.pannerDirty = true
+	p := scr.panner
+	if p == nil {
+		return
+	}
+	for _, c := range wm.clients {
+		if c.scr == scr {
+			wm.markMiniDirty(c)
+		}
+	}
+	for c := range p.miniOf {
+		wm.markMiniDirty(c)
 	}
 }
 
@@ -157,167 +196,136 @@ func (p *Panner) miniRect(c *Client) xproto.Rect {
 	}
 }
 
-// syncPanner reconciles the miniatures with the current client set:
-// create on appear, destroy on leave, move/resize/relabel only when
-// the mirrored state actually changed. All requests for one sync ride
-// one batch — one server lock acquisition however many miniatures
-// changed. (The previous implementation destroyed and recreated every
-// miniature on every call, at every call site.) The exception: when a
-// miniature is created, its fill and map ops go in a second batch
-// recorded only if the create succeeded — recording them blindly
-// against the pre-allocated XID would turn one failed create into a
-// cascade of BadWindow errors on a window that never existed.
-func (wm *WM) syncPanner(scr *Screen) {
+// lazyBatch returns *b, creating it on first use, so a sync that
+// records nothing allocates no batch.
+func (wm *WM) lazyBatch(b **xserver.Batch) *xserver.Batch {
+	if *b == nil {
+		*b = wm.conn.Batch()
+	}
+	return *b
+}
+
+// syncPanner drains scr's damage queue: for each queued client it
+// creates, destroys, moves/resizes or relabels the miniature, each
+// only when the mirrored state actually changed, so a sync costs what
+// changed, not how many windows exist. All ops ride one batch, created
+// on the first op — one server lock acquisition however many
+// miniatures changed. A created miniature's fill and map ops go in a
+// second batch recorded only if the create succeeded: recording them
+// blindly against the pre-allocated XID would turn one failed create
+// into a cascade of BadWindow errors on a window that never existed.
+// The viewport outline moves only when moveView is set (the pan
+// changed) and is raised only above newly created miniatures.
+func (wm *WM) syncPanner(scr *Screen, moveView bool) {
 	p := scr.panner
 	if p == nil {
 		return
 	}
-	b := wm.conn.Batch()
-	type pendingDestroy struct {
-		win xproto.XID
-		ck  *xserver.Cookie
-	}
-	type pendingCreate struct {
-		c  *Client
-		ck *xserver.Cookie
-	}
-	type pendingUpdate struct {
-		c  *Client
-		ck *xserver.Cookie
-	}
-	var destroys []pendingDestroy
-	var creates []pendingCreate
-	var updates []pendingUpdate
-
-	// Pass 1: drop miniatures whose client left the desktop (unmanaged,
-	// iconified, stuck, moved to another screen).
-	for c, m := range p.miniOf {
-		if wm.clients[c.Win] == c && miniShown(c, scr) {
-			continue
-		}
-		destroys = append(destroys, pendingDestroy{m.win, b.DestroyWindow(m.win)})
-		delete(p.miniOf, c)
-		delete(p.minis, m.win)
-	}
-	// Pass 2: create missing miniatures, update changed ones.
-	for _, c := range wm.clients {
-		if !miniShown(c, scr) {
-			continue
-		}
-		r := p.miniRect(c)
+	var b *xserver.Batch
+	ops := p.ops[:0]
+	creates := 0
+	for _, c := range scr.miniQueue {
+		c.miniQueued = false
 		m := p.miniOf[c]
+		if wm.clients[c.Win] != c || !miniShown(c, scr) {
+			// The client left the desktop: unmanaged, iconified or stuck.
+			if m != nil {
+				ops = append(ops, miniOp{miniDestroy, c, m.win, wm.lazyBatch(&b).DestroyWindow(m.win)})
+				delete(p.miniOf, c)
+			}
+			continue
+		}
+		r, label := p.miniRect(c), miniLabel(c)
 		if m == nil {
-			label := miniLabel(c)
-			ck := b.CreateWindow(p.content, r, 0, xserverAttrs(label))
+			ck := wm.lazyBatch(&b).CreateWindow(p.content, r, 0, xserverAttrs(label))
 			p.miniOf[c] = &miniature{win: ck.Window(), rect: r, label: label}
-			p.minis[ck.Window()] = c
-			creates = append(creates, pendingCreate{c, ck})
+			ops = append(ops, miniOp{miniCreate, c, ck.Window(), ck})
+			creates++
 			continue
 		}
 		if m.rect != r {
-			updates = append(updates, pendingUpdate{c, b.MoveResizeWindow(m.win, r)})
+			ops = append(ops, miniOp{miniUpdate, c, m.win, wm.lazyBatch(&b).MoveResizeWindow(m.win, r)})
 			m.rect = r
 		}
-		if label := miniLabel(c); label != m.label {
-			updates = append(updates, pendingUpdate{c, b.SetWindowLabel(m.win, label)})
+		if label != m.label {
+			ops = append(ops, miniOp{miniUpdate, c, m.win, wm.lazyBatch(&b).SetWindowLabel(m.win, label)})
 			m.label = label
 		}
 	}
-	// The viewport outline rides along: it must stay above any newly
-	// created miniatures, so when there are creates it moves to the
-	// follow-up batch that realizes them.
-	var vpMove, vpRaise *xserver.Cookie
-	recordViewport := func(vb *xserver.Batch) {
-		if p.viewport != xproto.None {
-			vpMove = vb.MoveWindow(p.viewport, scr.PanX/p.scale, scr.PanY/p.scale)
-			vpRaise = vb.RaiseWindow(p.viewport)
-		}
-	}
-	if len(creates) == 0 {
-		recordViewport(b)
-	}
+	// The queue keeps its backing array; clearing it drops the client
+	// pointers, and ops failing below may queue their clients again.
+	clear(scr.miniQueue)
+	scr.miniQueue = scr.miniQueue[:0]
 
-	// Damage for this sync: how many miniatures the incremental index
-	// actually touched (the whole point of the PR 2 diff — a clean pump
-	// observes 0 here).
-	wm.metrics.pannerDamage.Observe(int64(len(destroys) + len(creates) + len(updates)))
+	// Damage for this sync: how many miniature ops the queue produced.
+	wm.metrics.pannerDamage.Observe(int64(len(ops)))
 
-	if b.Flush() != nil {
-		// Degraded path: some op failed (fault injection, death races).
-		// Resolve per-cookie, mirroring what the unbatched code did.
-		for _, d := range destroys {
-			if err := d.ck.Err(); err != nil {
-				wm.addOrphan(d.win)
-				wm.logf("destroy miniature 0x%x: %v (queued for retry)", uint32(d.win), err)
-			}
-		}
-		retry := false
-		for _, cr := range creates {
-			if err := cr.ck.Err(); err != nil {
-				wm.check(nil, "create miniature", err)
-				wm.dropMini(p, cr.c)
-			}
-		}
-		for _, u := range updates {
-			if err := u.ck.Err(); err != nil {
-				// The miniature may be gone under us (e.g. an injected
-				// KillTarget); drop it and let the next sync recreate it.
-				wm.check(nil, "update miniature", err)
-				if m := p.miniOf[u.c]; m != nil {
-					wm.destroyWindow(m.win)
-					wm.dropMini(p, u.c)
-				}
-				retry = true
-			}
-		}
-		if retry {
-			scr.pannerDirty = true
-		}
+	if b != nil && b.Flush() != nil {
+		wm.settleMiniOps(p, ops)
 	}
-
-	if len(creates) > 0 {
-		type pendingRealize struct {
-			c             *Client
-			fillCk, mapCk *xserver.Cookie
-		}
+	if creates > 0 {
 		b2 := wm.conn.Batch()
-		var realizes []pendingRealize
-		for _, cr := range creates {
-			if cr.ck.Err() != nil || p.miniOf[cr.c] == nil {
+		recorded := len(ops)
+		for _, o := range ops[:recorded] {
+			if o.kind != miniCreate || o.ck.Err() != nil || p.miniOf[o.c] == nil {
 				continue
 			}
-			realizes = append(realizes, pendingRealize{
-				cr.c, b2.SetWindowFill(cr.ck.Window(), '#'), b2.MapWindow(cr.ck.Window()),
-			})
+			ops = append(ops,
+				miniOp{miniFill, o.c, o.win, b2.SetWindowFill(o.win, '#')},
+				miniOp{miniMap, o.c, o.win, b2.MapWindow(o.win)})
 		}
-		recordViewport(b2)
 		if b2.Flush() != nil {
-			for _, rz := range realizes {
-				wm.check(nil, "fill miniature", rz.fillCk.Err())
-				if err := rz.mapCk.Err(); err != nil {
-					// Don't keep an unmapped, untracked miniature alive.
-					wm.check(nil, "map miniature", err)
-					if m := p.miniOf[rz.c]; m != nil {
-						wm.destroyWindow(m.win)
-					}
-					wm.dropMini(p, rz.c)
-				}
-			}
+			wm.settleMiniOps(p, ops[recorded:])
 		}
 	}
-	if vpMove != nil {
-		wm.check(nil, "move panner viewport", vpMove.Err())
-	}
-	if vpRaise != nil {
-		wm.check(nil, "raise panner viewport", vpRaise.Err())
+	clear(ops)
+	p.ops = ops[:0]
+
+	if p.viewport != xproto.None {
+		if moveView {
+			wm.check(nil, "move panner viewport", wm.conn.MoveWindow(p.viewport, scr.PanX/p.scale, scr.PanY/p.scale))
+		}
+		if creates > 0 {
+			wm.check(nil, "raise panner viewport", wm.conn.RaiseWindow(p.viewport))
+		}
 	}
 }
 
-// dropMini removes c's miniature from both panner indexes.
-func (wm *WM) dropMini(p *Panner, c *Client) {
-	if m := p.miniOf[c]; m != nil {
-		delete(p.minis, m.win)
-		delete(p.miniOf, c)
+// settleMiniOps is the degraded path of a flushed sync batch: some op
+// failed (fault injection, death races). Each failure is resolved per
+// cookie. A miniature whose create, update or map failed is dropped and
+// its client queued again, so the next sync rebuilds it from scratch.
+func (wm *WM) settleMiniOps(p *Panner, ops []miniOp) {
+	for _, o := range ops {
+		err := o.ck.Err()
+		if err == nil {
+			continue
+		}
+		switch o.kind {
+		case miniDestroy:
+			wm.addOrphan(o.win)
+			wm.logf("destroy miniature 0x%x: %v (queued for retry)", uint32(o.win), err)
+			continue
+		case miniFill:
+			wm.check(nil, "fill miniature", err)
+			continue
+		case miniCreate:
+			wm.check(nil, "create miniature", err)
+		case miniUpdate:
+			// The miniature may be gone under us (e.g. an injected
+			// KillTarget).
+			wm.check(nil, "update miniature", err)
+		case miniMap:
+			// Don't keep an unmapped miniature alive.
+			wm.check(nil, "map miniature", err)
+		}
+		if m := p.miniOf[o.c]; m != nil && m.win == o.win {
+			if o.kind != miniCreate {
+				wm.destroyWindow(m.win)
+			}
+			delete(p.miniOf, o.c)
+		}
+		wm.markMiniDirty(o.c)
 	}
 }
 
@@ -326,17 +334,6 @@ func miniLabel(c *Client) string {
 		return c.Class.Instance
 	}
 	return c.Name
-}
-
-// updatePannerViewport moves the viewport outline to the current pan
-// position.
-func (wm *WM) updatePannerViewport(scr *Screen) {
-	p := scr.panner
-	if p == nil || p.viewport == xproto.None {
-		return
-	}
-	wm.check(nil, "move panner viewport", wm.conn.MoveWindow(p.viewport, scr.PanX/p.scale, scr.PanY/p.scale))
-	wm.check(nil, "raise panner viewport", wm.conn.RaiseWindow(p.viewport))
 }
 
 // handlePress processes a button press inside the panner content
@@ -352,11 +349,10 @@ func (p *Panner) handlePress(button, x, y int) {
 	case xproto.Button2:
 		// Start a move of the client whose miniature is under the
 		// pointer ("a move operation is started on the window").
-		mini := p.miniAt(x, y)
-		if mini == xproto.None {
+		c := p.miniAt(x, y)
+		if c == nil {
 			return
 		}
-		c := p.minis[mini]
 		wm.moveState = &moveState{client: c, viaPanner: true}
 	}
 }
@@ -373,20 +369,19 @@ func (p *Panner) handleRelease(button, x, y int) {
 	wm.moveFrame(c, x*p.scale, y*p.scale)
 }
 
-// miniAt returns the miniature window containing the panner-relative
-// point.
-func (p *Panner) miniAt(x, y int) xproto.XID {
-	for mini, c := range p.minis {
-		_ = c
-		g, err := p.wm.conn.GetGeometry(mini)
+// miniAt returns the client whose miniature contains the
+// panner-relative point (nil if none does).
+func (p *Panner) miniAt(x, y int) *Client {
+	for c, m := range p.miniOf {
+		g, err := p.wm.conn.GetGeometry(m.win)
 		if err != nil {
 			continue
 		}
 		if g.Rect.Contains(x, y) {
-			return mini
+			return c
 		}
 	}
-	return xproto.None
+	return nil
 }
 
 // handleResize reacts to the panner client being resized: "The act of
@@ -404,8 +399,8 @@ func (p *Panner) handleResize(w, h int) {
 // MiniatureClients returns the clients currently represented by
 // miniatures, sorted by frame position for deterministic iteration.
 func (p *Panner) MiniatureClients() []*Client {
-	out := make([]*Client, 0, len(p.minis))
-	for _, c := range p.minis {
+	out := make([]*Client, 0, len(p.miniOf))
+	for c := range p.miniOf {
 		out = append(out, c)
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"slices"
+	"sync/atomic"
+
 	"repro/internal/xproto"
 )
 
@@ -26,6 +29,7 @@ type ConnInstrument struct {
 // xserver.RequestMajors). Requests with an unlisted major fall into
 // xreq.other. trace may be nil to skip trace records.
 func NewConnInstrument(reg *Registry, trace *Trace, majors []string) *ConnInstrument {
+	names := requestCounterNames(majors)
 	in := &ConnInstrument{
 		requests: reg.Counter("xreq.total"),
 		byMajor:  make(map[string]*Counter, len(majors)),
@@ -34,10 +38,35 @@ func NewConnInstrument(reg *Registry, trace *Trace, majors []string) *ConnInstru
 		batchSz:  reg.Histogram("batch.size", SizeBounds),
 		trace:    trace,
 	}
-	for _, m := range majors {
-		in.byMajor[m] = reg.Counter("xreq." + m)
+	for i, m := range majors {
+		in.byMajor[m] = reg.Counter(names[i])
 	}
 	return in
+}
+
+// requestNames pairs a majors list with its "xreq."+major counter
+// names.
+type requestNames struct {
+	majors, names []string
+}
+
+// lastRequestNames holds the names built for the most recent majors
+// list. Every WM passes the same list, so the names are built once per
+// process rather than once per connection.
+var lastRequestNames atomic.Pointer[requestNames]
+
+// requestCounterNames returns the counter name of each major, reusing
+// the previous call's names when the list is the same.
+func requestCounterNames(majors []string) []string {
+	if rn := lastRequestNames.Load(); rn != nil && slices.Equal(rn.majors, majors) {
+		return rn.names
+	}
+	rn := &requestNames{majors: slices.Clone(majors), names: make([]string, len(majors))}
+	for i, m := range majors {
+		rn.names[i] = "xreq." + m
+	}
+	lastRequestNames.Store(rn)
+	return rn.names
 }
 
 // Request records one X request. major must be a static string.

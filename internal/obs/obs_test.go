@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 )
 
@@ -88,5 +89,27 @@ func TestCounterRecordAllocs(t *testing.T) {
 	h := reg.Histogram("hist", SizeBounds)
 	if n := testing.AllocsPerRun(100, func() { c.Inc(); h.Observe(3) }); n != 0 {
 		t.Errorf("record path allocates %v/op, want 0", n)
+	}
+}
+
+// TestConnInstrumentNamesBuiltOnce: every WM passes the same majors
+// list, so a fleet of WMs must not rebuild the "xreq." names per
+// connection; a different list still gets its own names.
+func TestConnInstrumentNamesBuiltOnce(t *testing.T) {
+	majors := []string{"GetGeometry", "MapWindow"}
+	first := requestCounterNames(majors)
+	if allocs := testing.AllocsPerRun(20, func() { requestCounterNames(majors) }); allocs != 0 {
+		t.Errorf("names for an unchanged majors list cost %.0f allocs, want 0", allocs)
+	}
+	if got := requestCounterNames(slices.Clone(majors)); &got[0] != &first[0] {
+		t.Error("an equal majors list rebuilt the names")
+	}
+	if got := requestCounterNames([]string{"QueryTree"}); !slices.Equal(got, []string{"xreq.QueryTree"}) {
+		t.Errorf("names for a new list = %v", got)
+	}
+	reg := NewRegistry()
+	NewConnInstrument(reg, nil, majors)
+	if got := reg.CounterNames(); !slices.Contains(got, "xreq.GetGeometry") || !slices.Contains(got, "xreq.MapWindow") {
+		t.Errorf("registered counters %v lack the per-major names", got)
 	}
 }
