@@ -54,32 +54,30 @@ func itoa(n int) string {
 }
 
 // createResizeCorners attaches the four handles to a client's frame.
+// Each handle is one CreateWindow that already selects button events
+// and one MapWindow; a handle whose create fails gets no map, so it
+// adds no follow-on BadWindow. Each create stacks its handle topmost,
+// so the frame ends with NW, NE, SW, SE on top and no raise is needed.
 func (wm *WM) createResizeCorners(c *Client) {
 	if !wm.wantsResizeCorners(c) {
 		return
 	}
+	attrs := xserverAttrs("corner")
+	attrs.Class = xproto.InputOnly // invisible, input-catching handle
+	attrs.EventMask = xproto.ButtonPressMask | xproto.ButtonReleaseMask
 	for corner := cornerNW; corner <= cornerSE; corner++ {
 		r := cornerRect(c.FrameRect.Width, c.FrameRect.Height, corner)
-		attrs := xserverAttrs("corner")
-		attrs.Class = xproto.InputOnly // invisible, input-catching handle
 		win, err := wm.conn.CreateWindow(c.frame.Window, r, 0, attrs)
 		if err != nil {
 			wm.check(nil, "create resize corner", err)
 			continue
 		}
-		if err := wm.conn.SelectInput(win,
-			xproto.ButtonPressMask|xproto.ButtonReleaseMask); err != nil {
-			// A handle that cannot see input is useless; don't leak it.
-			wm.check(nil, "corner input", err)
-			wm.destroyWindow(win)
-			continue
-		}
 		if err := wm.conn.MapWindow(win); err != nil {
+			// An unmapped handle is useless; don't leak it.
 			wm.check(nil, "map corner", err)
 			wm.destroyWindow(win)
 			continue
 		}
-		wm.check(c, "raise corner", wm.conn.RaiseWindow(win))
 		c.corners[corner] = win
 		wm.byObjWin[win] = objRef{client: c, screen: c.scr, corner: corner + 1}
 	}
@@ -96,7 +94,9 @@ func cornerRect(frameW, frameH, corner int) xproto.Rect {
 	return r
 }
 
-// syncResizeCorners repositions the handles after a frame resize.
+// syncResizeCorners repositions the handles after a frame resize. The
+// handles keep their stacking from creation: nothing else in the frame
+// is created or restacked after them.
 func (wm *WM) syncResizeCorners(c *Client) {
 	for corner, win := range c.corners {
 		if win == xproto.None {
@@ -104,7 +104,6 @@ func (wm *WM) syncResizeCorners(c *Client) {
 		}
 		r := cornerRect(c.FrameRect.Width, c.FrameRect.Height, corner)
 		wm.check(c, "move corner", wm.conn.MoveWindow(win, r.X, r.Y))
-		wm.check(c, "raise corner", wm.conn.RaiseWindow(win))
 	}
 }
 

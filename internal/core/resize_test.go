@@ -111,3 +111,46 @@ func TestCornersFollowClientResize(t *testing.T) {
 	}
 	_ = s
 }
+
+// TestResizeCornersStayTopmost pins the handles' stacking without any
+// raise: after manage, resize, rename and redecorate, the frame's top
+// four children are the handles in NW, NE, SW, SE order.
+func TestResizeCornersStayTopmost(t *testing.T) {
+	s, wm := newWM(t, Options{VirtualDesktop: true})
+	app, c := launch(t, s, wm, clients.Config{Instance: "xterm", Class: "XTerm", Width: 300, Height: 200})
+	check := func(step string) {
+		t.Helper()
+		_, _, kids, err := wm.conn.QueryTree(c.frame.Window)
+		if err != nil {
+			t.Fatalf("%s: QueryTree(frame): %v", step, err)
+		}
+		if len(kids) < len(c.corners) {
+			t.Fatalf("%s: frame has %d children", step, len(kids))
+		}
+		top := kids[len(kids)-len(c.corners):]
+		for i, win := range c.corners {
+			if win == xproto.None || top[i] != win {
+				t.Fatalf("%s: frame's top children %#v, want corners %#v", step, top, c.corners)
+			}
+		}
+	}
+	check("manage")
+	if err := app.Resize(500, 400); err != nil {
+		t.Fatal(err)
+	}
+	wm.Pump()
+	check("client resize")
+	wm.resizeClient(c, 250, 150)
+	check("WM resize")
+	if err := app.SetName("renamed"); err != nil {
+		t.Fatal(err)
+	}
+	wm.Pump()
+	check("rename")
+	if err := wm.redecorate(c); err != nil {
+		t.Fatal(err)
+	}
+	check("redecorate")
+	wm.resizeClient(c, 320, 240)
+	check("resize after redecorate")
+}

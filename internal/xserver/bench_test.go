@@ -191,3 +191,67 @@ func BenchmarkConnCloseAfterHistory(b *testing.B) {
 		})
 	}
 }
+
+// siblingFamily creates a mapped parent with n mapped children, as the
+// Virtual Desktop holds every client frame.
+func siblingFamily(b *testing.B, c *Conn, n int) (parent xproto.XID, kids []xproto.XID) {
+	b.Helper()
+	root := c.server.Screens()[0].Root
+	parent, err := c.CreateWindow(root, xproto.Rect{Width: 4000, Height: 4000}, 0, WindowAttributes{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	kids = make([]xproto.XID, n)
+	for i := range kids {
+		r := xproto.Rect{X: i * 7 % 3900, Y: i * 13 % 3900, Width: 50, Height: 50}
+		if kids[i], err = c.CreateWindow(parent, r, 1, WindowAttributes{}); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.MapWindow(kids[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return parent, kids
+}
+
+const benchSiblings = 512
+
+// BenchmarkRaiseAmongSiblings raises the bottom-most of 512 siblings,
+// so every iteration restacks and republishes the parent's child list.
+func BenchmarkRaiseAmongSiblings(b *testing.B) {
+	s := NewServer()
+	c := s.Connect("bench")
+	_, kids := siblingFamily(b, c, benchSiblings)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Raising in creation order always lifts the current bottom.
+		if err := c.RaiseWindow(kids[i%len(kids)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDestroyAmongSiblings destroys the bottom-most of 512
+// siblings and creates its replacement on top, the way a desktop of
+// clients churns. The destroy detaches from the parent's child list;
+// the create appends in place.
+func BenchmarkDestroyAmongSiblings(b *testing.B) {
+	s := NewServer()
+	c := s.Connect("bench")
+	parent, kids := siblingFamily(b, c, benchSiblings)
+	r := xproto.Rect{X: 10, Y: 10, Width: 50, Height: 50}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(kids)
+		if err := c.DestroyWindow(kids[k]); err != nil {
+			b.Fatal(err)
+		}
+		w, err := c.CreateWindow(parent, r, 1, WindowAttributes{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		kids[k] = w
+	}
+}

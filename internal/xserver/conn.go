@@ -184,7 +184,8 @@ func (c *Conn) buildWindow(id xproto.XID, p *window, r xproto.Rect, borderWidth 
 		w.fill.Store(uint32(attrs.Fill))
 	}
 	if attrs.Label != "" {
-		w.label.Store(&attrs.Label)
+		w.label0 = attrs.Label
+		w.label.Store(&w.label0)
 	}
 	if attrs.EventMask != 0 {
 		w.setMask(c, attrs.EventMask)
@@ -246,7 +247,7 @@ func (s *Server) destroyTreeLocked(w *window, detachSelf bool) {
 		s.destroyTreeLocked(ks[i], false)
 	}
 	if ks != nil {
-		w.kidGeo.Store(nil)
+		w.children.Store(nil)
 	}
 	if w.mapped.Load() {
 		s.unmapNow(w, false)
@@ -593,7 +594,6 @@ func (s *Server) configure(w *window, ch xproto.WindowChanges) error {
 		case xproto.CWY:
 			w.storeY(ch.Y)
 		}
-		w.syncGeoCell()
 	}
 	if ch.Mask&xproto.CWWidth != 0 && ch.Width <= 0 {
 		return &xproto.XError{
@@ -793,28 +793,20 @@ func translate(sw, dw *window, x, y int) (dx, dy int, child xproto.XID) {
 	dxr, dyr := dw.rootCoords()
 	rx, ry := sx+x, sy+y
 	dx, dy = rx-dxr, ry-dyr
-	// The child scan works in dst-relative coordinates against the
-	// parent's dense geometry snapshot: each reject is one sequential
-	// 8-byte load from the snapshot's position array — no pointer chase
-	// into the child, no rootCoords ancestor walk. When dst is a root
-	// or a virtual desktop the scan visits every sibling toplevel, so
-	// the per-child cost is the whole request's cost.
-	snap := dw.kidGeo.Load()
-	if snap == nil {
-		return dx, dy, child
-	}
-	for i := int(snap.n.Load()) - 1; i >= 0; i-- {
-		// Fast reject on the mirrored packed position alone: the border
-		// only grows the left/top inset, so dx < cx rules the child out
-		// before the window itself is ever touched.
-		cx, cy := unpackIntPair(snap.xy[i].Load())
+	// The child scan works in dst-relative coordinates on each child's
+	// own packed position: a reject is one atomic load, with no
+	// rootCoords ancestor walk. When dst is a root or a virtual desktop
+	// the scan visits every sibling toplevel, so the per-child cost is
+	// the whole request's cost.
+	ks := dw.kids()
+	for i := len(ks) - 1; i >= 0; i-- {
+		// The border only grows the left/top inset, so dx < cx rules
+		// the child out before its border and size are read.
+		ch := ks[i]
+		cx, cy := ch.pos()
 		if dx < cx || dy < cy {
 			continue
 		}
-		ch := snap.wins[i]
-		// Candidate: redo the test against the window's own geometry
-		// (the snapshot cell is the authority only for rejects).
-		cx, cy = ch.pos()
 		bw := int(ch.borderW.Load())
 		lx, ly := dx-cx-bw, dy-cy-bw
 		if lx < 0 || ly < 0 {

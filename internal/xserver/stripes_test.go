@@ -231,6 +231,102 @@ func TestQueryTreeDuringDestroy(t *testing.T) {
 	}
 }
 
+// TestTranslateCoordinatesUnderRestack races lock-free
+// TranslateCoordinates against tree edits among 256 siblings. Writers
+// move, raise, lower, destroy and recreate every child but one, and never
+// place a window over that stationary child, so every translate of a
+// point inside it must name it, whatever the stacking order does.
+func TestTranslateCoordinatesUnderRestack(t *testing.T) {
+	s, c := newTestServer(t)
+	root := s.Screens()[0].Root
+	parent := mustCreate(t, c, root, xproto.Rect{Width: 2000, Height: 2000})
+	if err := c.MapWindow(parent); err != nil {
+		t.Fatal(err)
+	}
+	const kids, writers, rounds = 256, 4, 300
+	// Movers stay in x < 900; the stationary child sits at x >= 1000.
+	still := xproto.Rect{X: 1000, Y: 1000, Width: 100, Height: 100}
+	const px, py = 1050, 1050
+	conns := make([]*Conn, writers)
+	owned := make([][]xproto.XID, writers)
+	var stillID xproto.XID
+	for i := 0; i < kids; i++ {
+		if i == kids/2 {
+			stillID = mustCreate(t, c, parent, still)
+			if err := c.MapWindow(stillID); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		g := i % writers
+		if conns[g] == nil {
+			conns[g] = s.Connect(fmt.Sprintf("writer-%d", g))
+		}
+		w := mustCreate(t, conns[g], parent, xproto.Rect{X: i * 3 % 850, Y: i * 7 % 1900, Width: 40, Height: 40})
+		if err := conns[g].MapWindow(w); err != nil {
+			t.Fatal(err)
+		}
+		owned[g] = append(owned[g], w)
+	}
+
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	errs := make(chan error, writers+4)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			wc, mine := conns[g], owned[g]
+			for round := 0; round < rounds; round++ {
+				k := (round*7 + g) % len(mine)
+				w := mine[k]
+				var err error
+				switch round % 4 {
+				case 0:
+					err = wc.MoveWindow(w, (round*13+g)%850, (round*17)%1900)
+				case 1:
+					err = wc.RaiseWindow(w)
+				case 2:
+					err = wc.LowerWindow(w)
+				case 3:
+					if err = wc.DestroyWindow(w); err != nil {
+						break
+					}
+					r := xproto.Rect{X: round % 850, Y: (round * 5) % 1900, Width: 40, Height: 40}
+					if mine[k], err = wc.CreateWindow(parent, r, 1, WindowAttributes{}); err == nil {
+						err = wc.MapWindow(mine[k])
+					}
+				}
+				if err != nil {
+					errs <- fmt.Errorf("writer %d round %d: %w", g, round, err)
+					return
+				}
+			}
+		}(g)
+	}
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for n := 0; !stop.Load() || n < 100; n++ {
+				_, _, child, err := c.TranslateCoordinates(parent, parent, px, py)
+				if err != nil || child != stillID {
+					errs <- fmt.Errorf("TranslateCoordinates = child 0x%x, %v; want 0x%x", uint32(child), err, uint32(stillID))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	stop.Store(true)
+	readers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 // TestConcurrentConnectClose cycles connections while other clients
 // keep issuing requests — the lifecycle path (Connect registers in the
 // conn table, Close escalates to the exclusive lock and reaps
