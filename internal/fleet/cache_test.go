@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -49,23 +50,79 @@ func TestQueryCacheWarmHit(t *testing.T) {
 	}
 }
 
-// TestQueryCacheMissRendersSiblings pins the grouped render: one miss
-// on any of the cheap trio warms all three in a single lane turn, so
-// the mixed-target load pattern pays one turn per generation, not
-// three. Trace is excluded — it must render only on its own miss.
-func TestQueryCacheMissRendersSiblings(t *testing.T) {
+// TestQueryCacheMissRendersOnlyItsTarget pins the per-target render:
+// a miss renders and publishes the target it asked for and nothing
+// else, so an exec invalidates no render that was never read. Another
+// target's first query is its own miss, rendered once.
+func TestQueryCacheMissRendersOnlyItsTarget(t *testing.T) {
 	m := serveFleet(t, 1)
 	s := m.Session(0)
 
-	// The siblings render in the miss's lane turn after the caller is
-	// answered; Drain waits for that turn to end.
 	queryResult(t, m, 0, swmproto.TargetStats)
 	m.Drain()
-	if s.cache[slotClients].Load() == nil || s.cache[slotDesktop].Load() == nil {
-		t.Error("stats miss did not pre-render clients/desktop siblings")
+	if s.cache[slotStats].Load() == nil {
+		t.Fatal("stats miss did not publish its payload")
 	}
-	if s.cache[slotTrace].Load() != nil {
-		t.Error("stats miss rendered trace — the heavy target must stay on-demand")
+	for slot, name := range map[int]string{slotClients: "clients", slotDesktop: "desktop", slotTrace: "trace"} {
+		if s.cache[slot].Load() != nil {
+			t.Errorf("stats miss rendered %s", name)
+		}
+	}
+
+	misses := m.cacheMisses[slotClients].Value()
+	first := queryResult(t, m, 0, swmproto.TargetClients)
+	second := queryResult(t, m, 0, swmproto.TargetClients)
+	if got := m.cacheMisses[slotClients].Value() - misses; got != 1 {
+		t.Errorf("two clients queries counted %d misses, want 1", got)
+	}
+	if !sameBacking(first, second) {
+		t.Error("the clients query after its miss re-rendered instead of hitting")
+	}
+}
+
+// TestQueryCacheCountersPerTarget pins the per-target cache counters:
+// one exec followed by one query counts exactly one miss, for that
+// target only, and the repeat query one hit. A warm hit still
+// allocates nothing.
+func TestQueryCacheCountersPerTarget(t *testing.T) {
+	m := serveFleet(t, 1)
+	counts := func() map[string]int64 {
+		out := map[string]int64{}
+		for name, v := range m.Metrics().Snapshot().Counters {
+			if strings.HasPrefix(name, "fleet.cache_") {
+				out[name] = v
+			}
+		}
+		return out
+	}
+	before := counts()
+	if len(before) != 2*slotCount {
+		t.Fatalf("registered cache counters = %v, want hits and misses for %d targets", before, slotCount)
+	}
+
+	if resp := m.ServeSession(0, swmproto.Request{Op: swmproto.OpExec, Command: "f.nop"}); !resp.OK {
+		t.Fatalf("exec failed: %+v", resp)
+	}
+	queryResult(t, m, 0, swmproto.TargetDesktop)
+	after := counts()
+	for name, v := range after {
+		want := before[name]
+		if name == "fleet.cache_misses.desktop" {
+			want++
+		}
+		if v != want {
+			t.Errorf("after exec + desktop query: %s = %d, want %d", name, v, want)
+		}
+	}
+
+	queryResult(t, m, 0, swmproto.TargetDesktop)
+	if got := counts()["fleet.cache_hits.desktop"] - after["fleet.cache_hits.desktop"]; got != 1 {
+		t.Errorf("repeat desktop query counted %d hits, want 1", got)
+	}
+
+	req := swmproto.Request{Op: swmproto.OpQuery, Target: swmproto.TargetDesktop}
+	if allocs := testing.AllocsPerRun(100, func() { m.ServeSession(0, req) }); allocs != 0 {
+		t.Errorf("warm hit allocates %.1f times, want 0", allocs)
 	}
 }
 

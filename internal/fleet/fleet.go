@@ -13,11 +13,15 @@
 //     structures are read-mostly and ownership-explicit (the xrdb
 //     database behind its atomic snapshot, the SharedProtoCache behind
 //     its lock — see those types for the contract).
-//   - All WM work runs as tasks on a bounded worker pool, not a
-//     goroutine per session. A session's tasks are FIFO and never run
-//     concurrently with each other (the session is enqueued at most
-//     once, and only the worker that dequeued it drains it), which is
-//     what makes lock-free core.WM safe to drive here.
+//   - All WM work runs as tasks on a session's scheduler lane, not a
+//     goroutine per session. Background work (start, stop, restart,
+//     pump, Exec) runs on a bounded worker pool. A protocol request
+//     runs on its caller when the lane is idle and is posted to the
+//     pool when it is busy. A session's tasks are FIFO and never run
+//     concurrently with each other (one flag marks the lane owned,
+//     whether by the worker that dequeued it or by a caller that found
+//     it idle), which is what makes lock-free core.WM safe to drive
+//     here.
 //   - Tasks run isolated: a panic marks that one session Failed,
 //     increments fleet.session_panics, and the worker moves on. A
 //     crashing session degrades; it never takes down the fleet. A
@@ -84,7 +88,7 @@ type taskKind int
 
 const (
 	taskStart taskKind = iota
-	taskWork  // pump, exec — requires Running
+	taskWork           // pump, exec — requires Running
 	taskRestart
 	taskStop
 )
@@ -112,10 +116,11 @@ type Config struct {
 	// Log receives fleet diagnostics (panics, start failures); nil
 	// discards them.
 	Log io.Writer
-	// ServeTimeout bounds how long ServeSession waits for a session's
-	// scheduler lane to serve a protocol request (default 5s). A
-	// session that panics between the state check and its lane turn
-	// answers with a timeout envelope instead of hanging the caller.
+	// ServeTimeout bounds how long ServeSession waits for a busy
+	// session lane to serve a protocol request (default 5s). A session
+	// that panics between the state check and its lane turn answers
+	// with a timeout envelope instead of hanging the caller. A request
+	// that finds the lane idle runs on its caller and is not bounded.
 	ServeTimeout time.Duration
 }
 
@@ -132,6 +137,10 @@ type Manager struct {
 	sessionRestarts *obs.Counter
 	sessionsStarted *obs.Counter
 	sessionsStopped *obs.Counter
+	// cacheHits and cacheMisses count snapshot-cache lookups per
+	// target, indexed by cache slot.
+	cacheHits   [slotCount]*obs.Counter
+	cacheMisses [slotCount]*obs.Counter
 
 	queue     chan *Session
 	workersWG sync.WaitGroup
@@ -144,9 +153,10 @@ type Manager struct {
 }
 
 // Session is one display+WM pair. Its WM state is owned by the
-// scheduler lane: at most one worker drains a session's task queue at
-// any moment, so tasks see the WM exactly as a single event-loop
-// goroutine would.
+// scheduler lane: at most one goroutine — a worker draining the task
+// queue, or a caller running its own request on an idle lane — runs a
+// session task at any moment, so tasks see the WM exactly as a single
+// event-loop goroutine would.
 type Session struct {
 	ID  int
 	mgr *Manager
@@ -158,7 +168,9 @@ type Session struct {
 
 	state atomic.Int32
 
-	// mu guards tasks and queued.
+	// mu guards tasks and queued. queued is true while the lane is
+	// owned: the session sits in the worker queue, a worker drains it,
+	// or a caller runs its request on it (runOnCaller).
 	mu     sync.Mutex
 	tasks  []task
 	queued bool
@@ -198,9 +210,8 @@ type queryPayload struct {
 	body []byte
 }
 
-// Cache slots, one per cacheable query target. Trace gets its own slot
-// but is rendered only on demand — it is heavy (the whole ring) and
-// pointless to refresh alongside the cheap trio.
+// Cache slots, one per cacheable query target. A miss renders and
+// publishes only the target it asked for.
 const (
 	slotStats = iota
 	slotClients
@@ -223,12 +234,6 @@ func cacheSlot(target string) int {
 		return slotTrace
 	}
 	return -1
-}
-
-// slotTargets names each slot's query target, for sibling renders.
-var slotTargets = [slotCount]string{
-	swmproto.TargetStats, swmproto.TargetClients,
-	swmproto.TargetDesktop, swmproto.TargetTrace,
 }
 
 // New creates a fleet: the shared database and prototype cache, the
@@ -266,6 +271,11 @@ func New(cfg Config) (*Manager, error) {
 	m.sessionRestarts = m.reg.Counter("fleet.session_restarts")
 	m.sessionsStarted = m.reg.Counter("fleet.sessions_started")
 	m.sessionsStopped = m.reg.Counter("fleet.sessions_stopped")
+	for _, target := range []string{swmproto.TargetStats, swmproto.TargetClients, swmproto.TargetDesktop, swmproto.TargetTrace} {
+		slot := cacheSlot(target)
+		m.cacheHits[slot] = m.reg.Counter("fleet.cache_hits." + target)
+		m.cacheMisses[slot] = m.reg.Counter("fleet.cache_misses." + target)
+	}
 
 	for i := 0; i < cfg.Sessions; i++ {
 		m.sessions = append(m.sessions, &Session{
@@ -353,6 +363,82 @@ func (s *Session) enqueue(k taskKind, fn func(), mutate bool) bool {
 	return true
 }
 
+// laneTurn reports what runOnCaller did with a task.
+type laneTurn int
+
+const (
+	laneRan    laneTurn = iota // the caller owned the lane for the task
+	laneBusy                   // the lane is owned elsewhere; nothing ran
+	laneClosed                 // the fleet is closed; nothing ran
+)
+
+// runOnCaller runs fn as one task of kind k on the calling goroutine
+// when the session's lane is idle: queued is false, so no task is
+// waiting and no worker is draining. The caller then owns the lane as
+// a worker would. It runs its own task behind the state gate and the
+// panic wall, hands any tasks posted meanwhile to the worker queue,
+// and returns. It never runs a task it did not post (unless Close
+// raced the turn, see handoff), so its latency is its own task's,
+// whatever else arrives. On an owned lane it runs
+// nothing and reports laneBusy; the caller posts instead.
+//
+// fn is only called, never stored, so a caller's closure can live on
+// its stack: an idle-lane turn costs two short critical sections, no
+// channel, no timer. A mutating task bumps gen in the critical section
+// that takes the lane, as postMutate bumps it in the one that appends:
+// every task that observes the bump runs after the mutation.
+func (s *Session) runOnCaller(k taskKind, fn func(), mutate bool) laneTurn {
+	m := s.mgr
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return laneClosed
+	}
+	s.mu.Lock()
+	if s.queued {
+		s.mu.Unlock()
+		m.mu.Unlock()
+		return laneBusy
+	}
+	s.queued = true
+	if mutate {
+		s.gen.Add(1)
+	}
+	s.mu.Unlock()
+	m.tasksWG.Add(1)
+	m.mu.Unlock()
+
+	if s.admits(k) {
+		m.runIsolated(s, fn)
+	}
+	s.mu.Lock()
+	pending := len(s.tasks) > 0
+	s.queued = pending
+	s.mu.Unlock()
+	if pending {
+		m.handoff(s)
+	}
+	m.tasksWG.Done()
+	return laneRan
+}
+
+// handoff gives a lane that a caller owned, and the tasks posted during
+// its turn, to the worker pool. The queued flag kept the session out of
+// the queue, so the send never blocks.
+func (m *Manager) handoff(s *Session) {
+	m.mu.Lock()
+	if !m.closed {
+		m.queue <- s
+		m.queueDepth.Set(int64(len(m.queue)))
+		m.mu.Unlock()
+		return
+	}
+	m.mu.Unlock()
+	// Close raced the turn: the tasks were posted before it, but the
+	// workers are gone, so they run here.
+	m.drainSession(s)
+}
+
 func (m *Manager) worker() {
 	defer m.workersWG.Done()
 	for s := range m.queue {
@@ -361,25 +447,34 @@ func (m *Manager) worker() {
 	}
 }
 
-// drainSession runs the session's queued tasks to exhaustion. Only the
-// worker that dequeued the session runs this, which serializes all of a
-// session's tasks.
+// drainSession runs the session's queued tasks to exhaustion, then
+// releases the lane. Only the goroutine that owns the lane runs this,
+// which serializes all of a session's tasks. A task counts as done for
+// Drain only once the lane has moved past it — the next task is
+// dequeued or the lane released — so when Drain returns, every lane
+// is idle and the next request runs on its caller.
 func (m *Manager) drainSession(s *Session) {
-	for {
+	for ran := false; ; ran = true {
 		s.mu.Lock()
-		if len(s.tasks) == 0 {
+		idle := len(s.tasks) == 0
+		var t task
+		if idle {
 			s.queued = false
-			s.mu.Unlock()
+		} else {
+			t = s.tasks[0]
+			copy(s.tasks, s.tasks[1:])
+			s.tasks = s.tasks[:len(s.tasks)-1]
+		}
+		s.mu.Unlock()
+		if ran {
+			m.tasksWG.Done()
+		}
+		if idle {
 			return
 		}
-		t := s.tasks[0]
-		copy(s.tasks, s.tasks[1:])
-		s.tasks = s.tasks[:len(s.tasks)-1]
-		s.mu.Unlock()
 		if s.admits(t.kind) {
 			m.runIsolated(s, t.fn)
 		}
-		m.tasksWG.Done()
 	}
 }
 
@@ -623,16 +718,17 @@ type Stats struct {
 // the Manager runs them on the addressed session's lane.
 var _ swmproto.SessionHandler = (*Manager)(nil)
 
-// ServeSession serves one protocol request against session id: the
-// request is posted to the session's scheduler lane — the same
-// serialization a Pump gets, which is what makes the lane-owned WM
-// safe to query — and the caller blocks for the response. All failure
-// modes come back as protocol envelopes (unknown_session,
-// session_down, timeout), never as Go errors: the envelope is the
-// transport contract, and HTTP status / exit codes derive from the
-// code. Safe to call from any goroutine; concurrent requests against
-// one session serialize on its lane, requests against different
-// sessions run in parallel across the worker pool.
+// ServeSession serves one protocol request against session id on the
+// session's scheduler lane — the same serialization a Pump gets, which
+// is what makes the lane-owned WM safe to query. An idle lane serves
+// the request on the calling goroutine; a busy one gets it posted
+// behind its queued tasks while the caller waits. All failure modes
+// come back as protocol envelopes (unknown_session, session_down,
+// timeout), never as Go errors: the envelope is the transport
+// contract, and HTTP status / exit codes derive from the code. Safe to
+// call from any goroutine; concurrent requests against one session
+// serialize on its lane, requests against different sessions run in
+// parallel.
 func (m *Manager) ServeSession(id int, req swmproto.Request) swmproto.Response {
 	resp := m.serveSession(id, req)
 	// Stamp the envelope header exactly as the property transport's
@@ -663,59 +759,51 @@ func (m *Manager) serveSession(id int, req swmproto.Request) swmproto.Response {
 		if slot = cacheSlot(req.Target); slot >= 0 {
 			gen = s.gen.Load()
 			if p := s.cache[slot].Load(); p != nil && p.gen == gen {
+				m.cacheHits[slot].Inc()
 				return swmproto.Response{OK: true, Result: p.body}
 			}
+			m.cacheMisses[slot].Inc()
 		}
 	}
 
+	// Execs mutate observable state; their lane turn must invalidate
+	// the cache like every other mutating task.
+	mutate := req.Op == swmproto.OpExec
+	var resp swmproto.Response
+	answered := false
+	switch s.runOnCaller(taskWork, func() { resp, answered = s.answer(req, slot, gen), true }, mutate) {
+	case laneRan:
+		if !answered {
+			// The task panicked (the session is Failed now) or the
+			// state gate skipped it.
+			return swmproto.Errorf(swmproto.CodeSessionDown, "session %d is %s", id, s.State())
+		}
+		return resp
+	case laneClosed:
+		return swmproto.Errorf(swmproto.CodeSessionDown, "fleet is closed")
+	}
+	return m.serveQueued(s, req, slot, gen, mutate)
+}
+
+// answer runs req on the session's lane. A cacheable query's payload
+// is published before the caller is answered, so the caller's repeat
+// query hits what its miss rendered; only the requested target renders.
+func (s *Session) answer(req swmproto.Request, slot int, gen uint64) swmproto.Response {
+	resp := s.wm.ServeProto(req)
+	if slot >= 0 && resp.OK {
+		s.cache[slot].Store(&queryPayload{gen: gen, body: resp.Result})
+	}
+	return resp
+}
+
+// serveQueued serves req on a busy lane: the request is posted behind
+// the lane's queued tasks and the caller waits up to ServeTimeout for
+// the worker that drains them.
+func (m *Manager) serveQueued(s *Session, req swmproto.Request, slot int, gen uint64, mutate bool) swmproto.Response {
 	// Buffered so the lane's send cannot block if the caller timed out
 	// and walked away.
 	ch := make(chan swmproto.Response, 1)
-	var fn func()
-	if slot >= 0 {
-		// Cache miss: render on the lane, publish, answer the caller,
-		// then render and publish the cheap sibling targets, so one
-		// lane turn warms stats, clients and desktop together (the
-		// load mix hits all three; per-target misses would triple the
-		// turns). Publishing before answering means a caller's repeat
-		// query hits what its miss rendered. Trace refreshes only on
-		// its own miss: it serializes the whole ring and most traffic
-		// never asks for it.
-		renderSlot, renderGen := slot, gen
-		fn = func() {
-			resp := s.wm.ServeProto(req)
-			if resp.OK {
-				s.cache[renderSlot].Store(&queryPayload{gen: renderGen, body: resp.Result})
-			}
-			ch <- resp
-			if !resp.OK || renderSlot == slotTrace {
-				return
-			}
-			for sib := slotStats; sib <= slotDesktop; sib++ {
-				if sib == renderSlot {
-					continue
-				}
-				if p := s.cache[sib].Load(); p != nil && p.gen == renderGen {
-					continue
-				}
-				sr := s.wm.ServeProto(swmproto.Request{Op: swmproto.OpQuery, Target: slotTargets[sib]})
-				if sr.OK {
-					s.cache[sib].Store(&queryPayload{gen: renderGen, body: sr.Result})
-				}
-			}
-		}
-	} else {
-		fn = func() { ch <- s.wm.ServeProto(req) }
-	}
-	var posted bool
-	if req.Op == swmproto.OpExec {
-		// Execs mutate observable state; their post must invalidate
-		// the cache like every other mutating task.
-		posted = s.postMutate(taskWork, fn)
-	} else {
-		posted = s.post(taskWork, fn)
-	}
-	if !posted {
+	if !s.enqueue(taskWork, func() { ch <- s.answer(req, slot, gen) }, mutate) {
 		return swmproto.Errorf(swmproto.CodeSessionDown, "fleet is closed")
 	}
 	timeout := m.cfg.ServeTimeout
@@ -731,7 +819,7 @@ func (m *Manager) serveSession(id int, req swmproto.Request) swmproto.Response {
 		// The session crashed or stopped between the state check and
 		// its lane turn: the state gate skipped the task and nobody
 		// will ever send. Degrade to a timeout envelope.
-		return swmproto.Errorf(swmproto.CodeTimeout, "session %d did not serve request %d within %v", id, req.ID, timeout)
+		return swmproto.Errorf(swmproto.CodeTimeout, "session %d did not serve request %d within %v", s.ID, req.ID, timeout)
 	}
 }
 

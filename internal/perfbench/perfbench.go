@@ -84,10 +84,13 @@ var PreChange = map[string]Baseline{
 // allocs/op, and the budget of 20 means even one stray per-request
 // rendering step fails the job. http-stats-miss is its cache-miss
 // twin: every timed GET follows an exec that invalidated the cache, so
-// it measures the lane re-render of stats, clients and desktop. Maps
-// and sorts in that render cost 58 allocs/op; streaming stats from the
-// sorted instrument index measures 22, and the budget of 28 (~25%
-// headroom) fails any return to per-render maps.
+// it measures a lane turn and the stats re-render. Maps and sorts in
+// that render cost 58 allocs/op; streaming stats from the sorted
+// instrument index brought it to 22, with the lane also re-rendering
+// clients and desktop after a channel-and-timer handoff to a worker.
+// An idle lane now runs the request on its caller and renders only
+// stats: 6 allocs/op, and the budget of 8 (~25% headroom) fails a
+// return of the handoff, a sibling render or per-render maps.
 var AllocBudgets = map[string]int64{
 	"manage-100-clients":    9000,
 	"move-storm":            38,
@@ -96,7 +99,7 @@ var AllocBudgets = map[string]int64{
 	"fleet-1000-sessions":   1_200_000,
 	"concurrent-clients-64": 6000,
 	"http-stats-query":      20,
-	"http-stats-miss":       28,
+	"http-stats-miss":       8,
 	"swmload-fleet-http":    800_000,
 }
 
